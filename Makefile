@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt bench bench-sim bench-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke
+.PHONY: check build vet test fmt bench bench-sim bench-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke api-smoke
 
 # check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
 # (fails listing the offending files), the short-seed chaos suite, the
@@ -38,10 +38,9 @@ bench-sim:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'BenchmarkVMRun|BenchmarkCompile' -benchtime 1x ./internal/ebpf/
 	$(GO) test -run '^$$' -bench 'BenchmarkClassifierSuite' -benchtime 1x ./internal/storfn/
-	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop' -benchtime 1x ./internal/core/
+	$(GO) test -run '^$$' -bench 'BenchmarkRouterHop|BenchmarkShardDispatch' -benchtime 1x ./internal/core/
 	$(GO) test -run '^$$' -bench 'BenchmarkArbiter' -benchtime 1x ./internal/qos/
 	$(GO) test -run '^$$' -bench 'BenchmarkClone|BenchmarkCow' -benchtime 1x ./internal/cow/
-	$(GO) test -run '^$$' -bench 'BenchmarkShardDispatch' -benchtime 1x ./internal/shard/
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/sim/
 
 # sim-smoke is the DES-kernel gate: the scheduler and harness under the
@@ -69,12 +68,25 @@ scrub-smoke:
 	$(GO) test -race -run 'TestScrub' ./internal/harness/
 
 # scale-smoke runs the sharded-router suite under the race detector: the
-# lock-free MPSC ring and static-verdict unit tests, the fleet placement /
-# promotion-fence / per-shard QoS-merge tests, and the scale experiment's
+# router tests (round-robin placement balance, promotion fence, per-shard
+# QoS merge), the static-verdict unit tests, and the scale experiment's
 # any-workers determinism and near-linear-scaling shape checks.
 scale-smoke:
-	$(GO) test -race ./internal/shard/... ./internal/ebpf/
+	$(GO) test -race ./internal/core/ ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/
+
+# api-smoke runs the public entry points end to end at short durations:
+# every example program and every nvmetroctl subcommand.
+api-smoke:
+	for ex in quickstart encryption replication caching customrouting; do \
+		$(GO) run ./examples/$$ex || exit 1; \
+	done
+	$(GO) run ./cmd/nvmetroctl -duration 2ms
+	$(GO) run ./cmd/nvmetroctl qos -duration 2ms
+	$(GO) run ./cmd/nvmetroctl chaos -duration 10ms
+	$(GO) run ./cmd/nvmetroctl scrub -duration 2ms
+	$(GO) run ./cmd/nvmetroctl snap -vms 4 -image 4 -duration 2ms
+	$(GO) run ./cmd/nvmetroctl shard -vms 4 -duration 2ms
 
 # bootstorm-smoke runs the snapshot/clone suite under the race detector:
 # the cow layer's model-based and property tests, the stack-level clone

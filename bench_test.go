@@ -56,7 +56,7 @@ func BenchmarkAblationFastPathLatency(b *testing.B) {
 	sys := nvmetro.NewSystem(nvmetro.Defaults())
 	defer sys.Close()
 	guest := sys.NewVM(1, 32<<20)
-	disk := sys.AttachNVMetro(guest, sys.WholeDisk())
+	disk := sys.Attach(sys.NewNVMetro(), guest, sys.WholeDisk())
 	res := sys.RunFIO(nvmetro.FIOConfig{
 		Mode: nvmetro.RandRead, BlockSize: 512, QD: 1,
 		Warmup: 1 * nvmetro.Millisecond, Duration: nvmetro.Duration(b.N) * 100 * nvmetro.Microsecond,
@@ -87,8 +87,9 @@ func BenchmarkExperimentListing(b *testing.B) {
 }
 
 // BenchmarkAblationInterpretedVsNativeClassifier quantifies the cost of
-// running policies in the sandboxed eBPF interpreter versus a compiled-in
-// classifier (the `repro_why` concern: fast-path interpretation overhead).
+// running policies as sandboxed eBPF (the router's compiled tier) versus a
+// compiled-in native classifier (the `repro_why` concern: fast-path
+// interpretation overhead).
 func BenchmarkAblationInterpretedVsNativeClassifier(b *testing.B) {
 	run := func(native bool) float64 {
 		sys := nvmetro.NewSystem(nvmetro.Defaults())

@@ -14,13 +14,13 @@
 //	nvmetroctl snap [-vms 8] [-image 16] [-duration 20ms]
 //	nvmetroctl shard [-vms 8] [-shards 2] [-duration 20ms] [-swap=false]
 //
-// The shard subcommand brings up the per-core sharded dispatch fleet:
-// tenants spread least-loaded over the shards, each on its own whole
-// namespace so the statically-provable default classifier promotes them to
-// the direct SQ→HSQ mapping. After the workload it dumps the fleet view —
-// per-shard tenant assignment, promotion tier, MPSC inbox depths — and,
-// with -swap, hot-swaps vm0's classifier to demonstrate the demotion fence
-// and the deferred re-promotion.
+// The shard subcommand brings up the per-core sharded router: tenants
+// spread round-robin over the shards, each on its own whole namespace so
+// the statically-provable default classifier promotes them to the direct
+// SQ→HSQ mapping. After the workload it dumps the router view — per-shard
+// tenant assignment, promotion tier, completion and control inbox depths —
+// and, with -swap, hot-swaps vm0's classifier to demonstrate the demotion
+// fence and the deferred re-promotion.
 //
 // The snap subcommand seals a golden image, clones one namespace per
 // tenant VM from it, drives the read-mostly boot-storm profile and dumps
@@ -111,18 +111,16 @@ func main() {
 	var disks []*nvmetro.AttachedDisk
 	for i := 0; i < *nvms; i++ {
 		v := sys.NewVM(1, 32<<20)
-		var d *nvmetro.AttachedDisk
+		sol := sys.NewNVMetro()
 		switch *function {
 		case "encryption":
-			d = sys.AttachEncrypted(v, parts[i], bytes.Repeat([]byte{0x42}, 64), false)
+			sol.WithEncryption(bytes.Repeat([]byte{0x42}, 64), false)
 		case "sgx":
-			d = sys.AttachEncrypted(v, parts[i], bytes.Repeat([]byte{0x42}, 64), true)
+			sol.WithEncryption(bytes.Repeat([]byte{0x42}, 64), true)
 		case "replication":
-			d = sys.AttachReplicated(v, parts[i], remote)
-		default:
-			d = sys.AttachNVMetro(v, parts[i])
+			sol.WithReplication(remote.Secondary())
 		}
-		disks = append(disks, d)
+		disks = append(disks, sys.Attach(sol, v, parts[i]))
 		fmt.Printf("vm%d: virtual NVMe controller attached over partition [%d, +%d blocks), function=%s\n",
 			i, parts[i].Start, parts[i].Blocks, *function)
 	}
@@ -162,8 +160,8 @@ func main() {
 	}
 }
 
-// shardCmd is the `nvmetroctl shard` subcommand: a sharded-fleet demo and
-// state dump — per-shard tenant assignment, promotion tier and MPSC inbox
+// shardCmd is the `nvmetroctl shard` subcommand: a sharded-router demo and
+// state dump — per-shard tenant assignment, promotion tier and inbox
 // depths, plus an optional live demotion/re-promotion episode.
 func shardCmd(args []string) {
 	fs := flag.NewFlagSet("shard", flag.ExitOnError)
@@ -200,7 +198,7 @@ func shardCmd(args []string) {
 	for i := 0; i < *nvms; i++ {
 		v := sys.NewVM(1, 32<<20)
 		part := sys.AddNamespace(1 << 18) // whole namespace: promotable layout
-		d := sys.AttachShared(sol, v, part)
+		d := sys.Attach(sol, v, part)
 		disks = append(disks, d)
 		targets = append(targets, d.Targets(1)...)
 		fmt.Printf("vm%d: whole namespace %d, shard %d\n", i, part.NSID, d.Ctrl.WorkerID())
@@ -213,7 +211,8 @@ func shardCmd(args []string) {
 	}, targets)
 	fmt.Printf("results: %.1f kIOPS, p50=%.1fus p99=%.1fus, guest errors=%d\n\n",
 		res.KIOPS(), float64(res.Lat.Median())/1e3, float64(res.Lat.P99())/1e3, res.Errors)
-	fmt.Print(sol.Fleet().Dump())
+	router := disks[0].Ctrl.Router()
+	fmt.Print(dumpShards(router))
 
 	if !*swap {
 		return
@@ -242,7 +241,38 @@ func shardCmd(args []string) {
 		Warmup: nvmetro.Millisecond, Duration: 4 * nvmetro.Millisecond,
 	}, targets)
 	fmt.Printf("vm0 promoted=%v (re-promoted through the control inbox)\n\n", vc.Promoted())
-	fmt.Print(sol.Fleet().Dump())
+	fmt.Print(dumpShards(router))
+}
+
+// dumpShards renders a router's shards for the operator: promotion
+// counters, then per shard its tenants, promotion tiers, inbox depths,
+// QoS state and whether the worker is parked.
+func dumpShards(r *nvmetro.Router) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "fleet: shards=%d promote=%v promotions=%d demotions=%d promoted-ops=%d\n",
+		r.Workers(), r.PromotionEnabled(), r.Promotions, r.Demotions, r.PromotedOps)
+	for _, si := range r.ShardInfos() {
+		state := "awake"
+		if si.Asleep {
+			state = "parked"
+		}
+		promoted := 0
+		for _, p := range si.Promoted {
+			if p {
+				promoted++
+			}
+		}
+		fmt.Fprintf(&b, "shard %d: tenants=%d promoted=%d comps=%d ctrl=%d qos=%v %s\n",
+			si.ID, len(si.VMs), promoted, si.CompDepth, si.CtrlDepth, si.QoS, state)
+		for i, id := range si.VMs {
+			tier := "routed"
+			if si.Promoted[i] {
+				tier = "promoted"
+			}
+			fmt.Fprintf(&b, "  vm%-4d %s\n", id, tier)
+		}
+	}
+	return b.String()
 }
 
 // chaosCmd is the `nvmetroctl chaos` subcommand: run one supervised
@@ -267,25 +297,24 @@ func chaosCmd(args []string) {
 	pol.Seed = *seed
 	v := sys.NewVM(1, 32<<20)
 	part := sys.WholeDisk()
-	var (
-		disk *nvmetro.AttachedDisk
-		sup  *nvmetro.Supervisor
-		site string
-	)
+	sol := sys.NewNVMetro()
+	var site string
 	switch *function {
 	case "encryption":
-		disk, sup = sys.AttachEncryptedSupervised(v, part, bytes.Repeat([]byte{0x42}, 64), pol)
+		sol.WithEncryption(bytes.Repeat([]byte{0x42}, 64), false)
 		site = "uif-encryptor"
 	case "cache":
-		disk, sup = sys.AttachCachedSupervised(v, part, nvmetro.DefaultCacheParams(), pol)
+		sol.WithCache(nvmetro.DefaultCacheParams())
 		site = "uif-cacher"
 	case "replication":
-		disk, sup = sys.AttachReplicatedSupervised(v, part, sys.NewRemoteHost(4), pol)
+		sol.WithReplication(sys.NewRemoteHost(4).Secondary())
 		site = "uif-replicator"
 	default:
 		fmt.Fprintf(os.Stderr, "unknown function %q\n", *function)
 		os.Exit(2)
 	}
+	disk := sys.Attach(sol.WithSupervision(pol), v, part)
+	sup := disk.Supervisor
 
 	plan := nvmetro.NewFaultPlan(*seed)
 	switch *kind {
@@ -367,15 +396,14 @@ func scrubCmd(args []string) {
 	defer sys.Close()
 
 	v := sys.NewVM(1, 32<<20)
-	var pd *nvmetro.ProtectedDisk
+	sol := sys.NewNVMetro()
 	if *replica {
-		remote := sys.NewRemoteHost(4)
-		pd = sys.AttachReplicatedProtected(v, sys.WholeDisk(), remote, nvmetro.DefaultScrubConfig())
+		sol.WithReplication(sys.NewRemoteHost(4).Secondary())
 		fmt.Println("remote mirror attached over NVMe-oF fabric (repair source)")
 	} else {
-		pd = sys.AttachProtected(v, sys.WholeDisk(), nvmetro.DefaultScrubConfig())
 		fmt.Println("no replica: unrepairable damage will be quarantined")
 	}
+	pd := sys.Attach(sol.WithIntegrity(nvmetro.DefaultScrubConfig()), v, sys.WholeDisk())
 
 	fmt.Printf("running randrw over a %d-block working set, fault=%s, scrub active...\n",
 		workBlocks, *kind)
@@ -461,11 +489,11 @@ func snapCmd(args []string) {
 	fmt.Printf("host: %d cores; golden image %d MiB sealed (%d chunks, base CRC %08x)\n",
 		cfg.Cores, *image, img.Index().Chunks(), img.BaseCRC())
 
-	var disks []*nvmetro.ClonedDisk
+	var disks []*nvmetro.AttachedDisk
 	var targets []nvmetro.FIOTarget
 	for i := 0; i < *nvms; i++ {
 		v := sys.NewVM(1, 16<<20)
-		d := sys.AttachCloned(v, img)
+		d := sys.Attach(sys.NewNVMetro(), v, img.Clone())
 		disks = append(disks, d)
 		targets = append(targets, d.Targets(1)...)
 		fmt.Printf("vm%d: cloned namespace %d attached (0 chunks copied)\n",
@@ -489,9 +517,9 @@ func snapCmd(args []string) {
 	img.Collect(&cs)
 	var breaks, diverged uint64
 	for i, d := range disks {
-		d.Store.Collect(fmt.Sprintf("cow.vm%d.", i), &cs)
-		breaks += d.Store.CowBreaks
-		if d.Store.DivergenceCRC() != 0 {
+		d.Clone.Collect(fmt.Sprintf("cow.vm%d.", i), &cs)
+		breaks += d.Clone.CowBreaks
+		if d.Clone.DivergenceCRC() != 0 {
 			diverged++
 		}
 	}
@@ -536,7 +564,7 @@ func qosCmd(args []string) {
 	var targets []nvmetro.FIOTarget
 	for i := 0; i < *nvms; i++ {
 		v := sys.NewVM(1, 32<<20)
-		d := sys.AttachShared(sol, v, parts[i])
+		d := sys.Attach(sol, v, parts[i])
 		c := contracts[i%len(contracts)]
 		sol.SetQoS(v, c.tc)
 		targets = append(targets, d.Targets(1)...)

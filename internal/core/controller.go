@@ -152,9 +152,7 @@ type Controller struct {
 	part     device.Partition
 	restrict bool
 
-	prog   *ebpf.Program
 	cprog  *ebpf.CompiledProgram
-	interp bool // run the reference interpreter instead of the compiled tier
 	native NativeClassifier
 	cvm    *ebpf.VM
 	ctx    ctxBuf
@@ -216,18 +214,14 @@ func (vc *Controller) SetGuard(g BlockGuard) {
 }
 
 // Attach creates a virtual controller for v over part, served by one of the
-// router's workers (round-robin). The controller starts with the default
-// fast-path classifier; Restrict left enabled confines fast-path commands
-// to the partition.
+// router's workers in round-robin attach order. Controllers are never
+// detached, so round-robin is also least-loaded placement: worker tenant
+// counts never differ by more than one. The controller starts with the
+// default fast-path classifier; Restrict left enabled confines fast-path
+// commands to the partition.
 func (r *Router) Attach(v *vm.VM, part device.Partition) *Controller {
-	return r.AttachWorker(len(r.allControllers())%len(r.workers), v, part)
-}
-
-// AttachWorker creates a virtual controller served by the given worker
-// (shard) — tenant placement policy belongs to the caller (package shard
-// balances by load; Attach round-robins).
-func (r *Router) AttachWorker(i int, v *vm.VM, part device.Partition) *Controller {
-	w := r.workers[i]
+	w := r.workers[r.attached%len(r.workers)]
+	r.attached++
 	vc := &Controller{
 		router:   r,
 		w:        w,
@@ -276,25 +270,17 @@ func (vc *Controller) SetRestrict(on bool) { vc.restrict = on }
 // LoadClassifier verifies, compiles and installs a classifier; it can be
 // swapped at any time without disturbing in-flight requests ("install,
 // migrate and remove storage functions on the fly"). Classifiers execute on
-// the compiled tier (the kernel-JIT analogue); the interpreter remains
-// available via SetInterpreted for differential testing.
+// the compiled tier (the kernel-JIT analogue); the reference interpreter in
+// package ebpf is the test oracle the compiled tier is checked against.
 func (vc *Controller) LoadClassifier(p *ebpf.Program) error {
 	cp, err := ebpf.Compile(p, NewVerifier())
 	if err != nil {
 		return fmt.Errorf("core: classifier rejected: %w", err)
 	}
-	vc.prog = p
 	vc.cprog = cp
 	vc.staticRet, vc.staticOK = cp.StaticVerdict()
 	vc.refreshPromotion()
 	return nil
-}
-
-// SetInterpreted selects the reference interpreter over the compiled tier
-// (for differential testing; virtual routing cost is identical either way).
-func (vc *Controller) SetInterpreted(on bool) {
-	vc.interp = on
-	vc.refreshPromotion()
 }
 
 // classifyCost returns the virtual CPU cost of one classification under the
@@ -322,18 +308,17 @@ func (vc *Controller) SetNativeClassifier(fn NativeClassifier) {
 
 // promotable reports whether the controller currently qualifies for the
 // direct SQ→HSQ tier: promotion enabled on the router, an eBPF classifier
-// on the compiled tier (native and interpreted classifiers are opaque to
-// the static analysis), no UIF attached (a notify consumer implies the
+// (native classifiers are opaque to the static analysis), no UIF attached (a notify consumer implies the
 // verdict is about to matter), and a proven constant verdict equal to the
 // pure fast-path action word.
 func (vc *Controller) promotable() bool {
-	return vc.router.promote && vc.staticOK && vc.native == nil && !vc.interp &&
+	return vc.router.promote && vc.staticOK && vc.native == nil &&
 		vc.nq == nil && vc.staticRet == uint64(ActSendHQ|ActWillCompleteHQ)
 }
 
 // refreshPromotion re-evaluates the controller's dispatch tier after any
 // event that can change the verdict (LoadClassifier, AttachUIF/DetachUIF,
-// SetNativeClassifier, SetInterpreted, EnablePromotion).
+// SetNativeClassifier, EnablePromotion).
 //
 // Demotion is synchronous — this is the hot-swap fence: by the time
 // LoadClassifier returns, no command admitted afterwards can bypass the
@@ -444,11 +429,7 @@ func (w *worker) classifyAndRoute(req *request, hook uint32, errStatus nvme.Stat
 		}
 	} else {
 		var err error
-		if vc.cprog != nil && !vc.interp {
-			ret, err = vc.cvm.RunCompiled(vc.cprog, vc.ctx[:])
-		} else {
-			ret, err = vc.cvm.Run(vc.prog, vc.ctx[:])
-		}
+		ret, err = vc.cvm.RunCompiled(vc.cprog, vc.ctx[:])
 		if err != nil {
 			// A faulting classifier fails the request rather than the
 			// host — the isolation property eBPF buys us.
@@ -881,8 +862,8 @@ func (w *worker) dispatchKQ(h hop) {
 	}
 	vc.kt.Submit(h.req.cmd, vc.vm.Mem, func(st nvme.Status) {
 		// The block layer completes on its own context; fan the completion
-		// into the owning shard through the lock-free inbox.
-		w.comps.Push(func() { w.finishHop(h, targetKQ, st) })
+		// into the owning shard through its completion inbox.
+		w.comps = append(w.comps, func() { w.finishHop(h, targetKQ, st) })
 		w.hint()
 	})
 }
@@ -911,7 +892,7 @@ var _ vm.Port = (*Controller)(nil)
 // (exposed to the control plane and tests).
 func (vc *Controller) DebugState() string {
 	s := fmt.Sprintf("outstanding=%d ntags=%d retry=%d workerAsleep=%v comps=%d ctrl=%d",
-		vc.outstanding, len(vc.ntags), len(vc.retry), vc.w.asleep, vc.w.comps.Len(), vc.w.ctrl.Len())
+		vc.outstanding, len(vc.ntags), len(vc.retry), vc.w.asleep, len(vc.w.comps), len(vc.w.ctrl))
 	if vc.nq != nil {
 		s += fmt.Sprintf(" nsq=%d ncq=%d", vc.nq.nsq.Len(), vc.nq.ncq.Len())
 	}

@@ -19,7 +19,7 @@ import (
 
 // EnableQoS installs a WFQ arbiter per router worker. Each shard
 // arbitrates only among its own tenants — tenant state never crosses a
-// shard boundary — and fleet-wide views merge the per-shard snapshots
+// shard boundary — and router-wide views merge the per-shard snapshots
 // (QoSSnapshot/CollectQoS). Controllers already attached are registered
 // as tenants with default (unlimited, weight-1) contracts; controllers
 // attached later register automatically. Returns the first worker's
@@ -44,7 +44,7 @@ func (r *Router) qosEnabled() bool { return r.workers[0].qos != nil }
 // QoS returns the first worker's arbiter (nil when QoS is disabled).
 // Routers with one worker — every shared-stack evaluation setup — have
 // exactly one arbiter, so this is the complete QoS state there. Sharded
-// fleets use QoSSnapshot/CollectQoS for the merged view.
+// routers use QoSSnapshot/CollectQoS for the merged view.
 func (r *Router) QoS() *qos.Arbiter { return r.workers[0].qos }
 
 // QoSArbiters returns every per-shard arbiter (nil when QoS is disabled).
@@ -59,7 +59,7 @@ func (r *Router) QoSArbiters() []*qos.Arbiter {
 	return out
 }
 
-// QoSSnapshot merges the per-shard arbiter snapshots into one fleet-wide
+// QoSSnapshot merges the per-shard arbiter snapshots into one router-wide
 // view. Tenants are disjoint across shards (a controller registers only
 // with its owning worker's arbiter), so concatenation is the merge.
 func (r *Router) QoSSnapshot(now sim.Time) []qos.TenantSnapshot {

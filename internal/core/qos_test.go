@@ -98,10 +98,10 @@ func TestQoSThrottleBackpressure(t *testing.T) {
 	}
 }
 
-// TestQoSClassTagging checks the classifier→arbiter class plumbing on
-// both execution tiers: a class-tagging classifier maps writes to the
-// bulk class via the policy map, and the tenant's per-class counters
-// reflect it.
+// TestQoSClassTagging checks the classifier→arbiter class plumbing: a
+// class-tagging classifier maps writes to the bulk class via the policy
+// map, and the tenant's per-class counters reflect it. The interpreter
+// oracle tags identically (TestShippedClassifierParity in storfn).
 func TestQoSClassTagging(t *testing.T) {
 	r := newRig(1)
 	r.router.EnableQoS(qos.Config{})
@@ -120,11 +120,6 @@ func TestQoSClassTagging(t *testing.T) {
 		}
 	}
 	r.run(t, func(p *sim.Proc) {
-		// Compiled tier.
-		io(p, vm.OpWrite)
-		io(p, vm.OpRead)
-		// Interpreter tier must tag identically.
-		vc.SetInterpreted(true)
 		io(p, vm.OpWrite)
 		io(p, vm.OpRead)
 		// Retune the policy live through the map: writes become scavenger.
@@ -133,11 +128,11 @@ func TestQoSClassTagging(t *testing.T) {
 	})
 
 	ten := vc.Tenant()
-	if got := ten.PerClass[qos.ClassBulk]; got != 2 {
-		t.Fatalf("bulk count = %d, want 2 (one per tier)", got)
+	if got := ten.PerClass[qos.ClassBulk]; got != 1 {
+		t.Fatalf("bulk count = %d, want 1", got)
 	}
-	if got := ten.PerClass[qos.ClassDefault]; got != 2 {
-		t.Fatalf("default count = %d, want 2 (reads untagged)", got)
+	if got := ten.PerClass[qos.ClassDefault]; got != 1 {
+		t.Fatalf("default count = %d, want 1 (reads untagged)", got)
 	}
 	if got := ten.PerClass[qos.ClassScavenger]; got != 1 {
 		t.Fatalf("scavenger count = %d, want 1 (live retune)", got)

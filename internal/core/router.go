@@ -5,7 +5,6 @@ import (
 
 	"nvmetro/internal/nvme"
 	"nvmetro/internal/qos"
-	"nvmetro/internal/shard/ring"
 	"nvmetro/internal/sim"
 )
 
@@ -53,12 +52,13 @@ type KernelTarget interface {
 // poll virtual submission queues and the completion queues of every I/O
 // path. Each worker owns its tenants exclusively — their queues, QoS
 // arbiter state and promotion decisions — so workers never contend;
-// cross-shard traffic (kernel completions, control posts) enters through
-// each worker's lock-free MPSC inboxes.
+// traffic from other contexts (kernel completions, control posts) enters
+// through each worker's two FIFO inboxes.
 type Router struct {
-	env     *sim.Env
-	costs   RouterCosts
-	workers []*worker
+	env      *sim.Env
+	costs    RouterCosts
+	workers  []*worker
+	attached int // controllers attached so far; drives round-robin placement
 
 	// promote enables the adaptive path-promotion tier: tenants whose
 	// classifier has a proven static fast-path verdict collapse to a
@@ -104,8 +104,12 @@ type Router struct {
 
 // NewRouter creates a router with one worker per given host thread.
 // The paper's main evaluations use one worker per VM; the scalability
-// evaluation shares a single worker across all VMs.
+// evaluation shares a single worker across all VMs. At least one thread is
+// required.
 func NewRouter(env *sim.Env, costs RouterCosts, threads []*sim.Thread) *Router {
+	if len(threads) == 0 {
+		panic("core: NewRouter needs at least one worker thread")
+	}
 	r := &Router{
 		env:              env,
 		costs:            costs,
@@ -113,10 +117,7 @@ func NewRouter(env *sim.Env, costs RouterCosts, threads []*sim.Thread) *Router {
 		HTagReclaim:      200 * sim.Millisecond,
 	}
 	for i, th := range threads {
-		w := &worker{
-			r: r, id: i, thread: th, wake: sim.NewCond(env),
-			comps: ring.New(), ctrl: ring.New(),
-		}
+		w := &worker{r: r, id: i, thread: th, wake: sim.NewCond(env)}
 		r.workers = append(r.workers, w)
 		env.Go(fmt.Sprintf("router-w%d", i), w.run)
 	}
@@ -161,8 +162,8 @@ type ShardInfo struct {
 	Asleep    bool
 	VMs       []int  // attached VM IDs, attach order
 	Promoted  []bool // parallel to VMs: direct-mapping tenants
-	CompDepth int    // kernel-completion MPSC inbox depth
-	CtrlDepth int    // control-plane MPSC inbox depth
+	CompDepth int    // kernel-completion inbox depth
+	CtrlDepth int    // control-plane inbox depth
 	QoS       bool   // per-shard arbiter installed
 }
 
@@ -173,8 +174,8 @@ func (r *Router) ShardInfos() []ShardInfo {
 		si := ShardInfo{
 			ID:        w.id,
 			Asleep:    w.asleep,
-			CompDepth: w.comps.Len(),
-			CtrlDepth: w.ctrl.Len(),
+			CompDepth: len(w.comps),
+			CtrlDepth: len(w.ctrl),
 			QoS:       w.qos != nil,
 		}
 		for _, vc := range w.vcs {
@@ -187,8 +188,10 @@ func (r *Router) ShardInfos() []ShardInfo {
 }
 
 // worker is one router polling thread — a shard. It owns its tenants'
-// queues and QoS arbiter exclusively; the only state other contexts may
-// touch are the two MPSC inboxes and the parked flag behind the wake cond.
+// queues and QoS arbiter exclusively; the only state other contexts touch
+// are the two inboxes and the parked flag behind the wake cond. The
+// simulation hands out one run token, so a push never overlaps the drain
+// and plain slices need no synchronisation.
 type worker struct {
 	r      *Router
 	id     int
@@ -196,8 +199,8 @@ type worker struct {
 	wake   *sim.Cond
 	vcs    []*Controller
 	qos    *qos.Arbiter // nil until EnableQoS; per-shard arbiter state
-	comps  *ring.MPSC   // kernel-path completion fan-in
-	ctrl   *ring.MPSC   // control-plane posts (reconcile, promotion fences)
+	comps  []func()     // kernel-path completion fan-in, FIFO
+	ctrl   []func()     // control-plane posts (reconcile, promotion fences), FIFO
 	asleep bool
 }
 
@@ -212,11 +215,21 @@ func (w *worker) hint() {
 // post queues fn to run as a routing effect on the worker's next
 // iteration — the external-work channel the supervision subsystem uses to
 // run reconciliation in worker context, where completions and retries are
-// flushed in the same round. Safe from any simulation context; with real
-// shard threads the MPSC makes it safe from any thread.
+// flushed in the same round. Safe from any simulation context.
 func (w *worker) post(fn func()) {
-	w.ctrl.Push(fn)
+	w.ctrl = append(w.ctrl, fn)
 	w.hint()
+}
+
+// drain moves every thunk queued in inbox into effects, charging one poll
+// step each, and empties the inbox for reuse.
+func drain(inbox *[]func(), effects *[]func(), work *sim.Duration, poll sim.Duration) {
+	for _, fn := range *inbox {
+		*work += poll
+		*effects = append(*effects, fn)
+	}
+	clear(*inbox)
+	*inbox = (*inbox)[:0]
 }
 
 // run is the worker main loop: a two-phase poll (gather work, charge CPU,
@@ -232,11 +245,8 @@ func (w *worker) run(p *sim.Proc) {
 		var effects []func()
 
 		// Kernel-path completions fan in from other contexts through the
-		// lock-free inbox; drain what is visible this round.
-		w.comps.Drain(func(fn func()) {
-			work += c.PollVQ
-			effects = append(effects, fn)
-		})
+		// completion inbox; drain what is queued this round.
+		drain(&w.comps, &effects, &work, c.PollVQ)
 
 		for _, vc := range w.vcs {
 			work += c.PollVQ
@@ -305,10 +315,7 @@ func (w *worker) run(p *sim.Proc) {
 		// Externally posted work (supervision reconciliation, promotion
 		// fences) runs after the per-controller gather so NCQ completions
 		// consumed above cannot race the reconcile sweep within the round.
-		w.ctrl.Drain(func(fn func()) {
-			work += c.PollVQ
-			effects = append(effects, fn)
-		})
+		drain(&w.ctrl, &effects, &work, c.PollVQ)
 
 		// Arbitrated admission pass: WFQ + token buckets + admission
 		// control decide which VSQ heads enter this round. Commands left

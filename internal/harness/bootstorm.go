@@ -113,23 +113,23 @@ func runBootstorm(o Options, vms int, imgBlocks, cacheChunks uint64, shared bool
 		disks  []vm.Disk
 		stores []*cow.Store
 	)
-	mkSol := func(img *stack.GoldenImage) *stack.NVMetro {
+	mkSol := func() *stack.NVMetro {
 		sol := stack.NewNVMetro(h)
 		if shards > 0 {
 			sol = stack.NewNVMetroSharded(h, shards)
 		}
-		return sol.WithIntegrity(scrubConfig()).WithSnapshots(img)
+		return sol.WithIntegrity(scrubConfig())
 	}
 	if shared {
 		img := newImage(cacheChunks)
 		images = append(images, img)
-		sol := mkSol(img)
+		sol := mkSol()
 		for i := 0; i < vms; i++ {
 			v := h.NewVM(1, 16<<20)
-			disks = append(disks, sol.CloneFrom(v))
+			disks = append(disks, sol.Provision(v, img.Clone()))
 			guests = append(guests, v)
 			sols = append(sols, sol)
-			stores = append(stores, sol.CloneStoreFor(v))
+			stores = append(stores, sol.Wiring(v).Clone)
 		}
 	} else {
 		per := cacheChunks / uint64(vms)
@@ -139,12 +139,12 @@ func runBootstorm(o Options, vms int, imgBlocks, cacheChunks uint64, shared bool
 		for i := 0; i < vms; i++ {
 			img := newImage(per)
 			images = append(images, img)
-			sol := mkSol(img)
+			sol := mkSol()
 			v := h.NewVM(1, 16<<20)
-			disks = append(disks, sol.CloneFrom(v))
+			disks = append(disks, sol.Provision(v, img.Clone()))
 			guests = append(guests, v)
 			sols = append(sols, sol)
-			stores = append(stores, sol.CloneStoreFor(v))
+			stores = append(stores, sol.Wiring(v).Clone)
 		}
 	}
 
@@ -237,7 +237,7 @@ func runBootstorm(o Options, vms int, imgBlocks, cacheChunks uint64, shared bool
 		var sc metrics.CounterSet
 		st.Collect("cow.clone.", &sc)
 		cs.Merge(&sc)
-		if dom := sols[i].IntegrityDomainFor(guests[i]); dom != nil {
+		if dom := sols[i].Wiring(guests[i]).Domain; dom != nil {
 			var dc metrics.CounterSet
 			dom.Collect(&dc)
 			for _, n := range dc.Names() {

@@ -57,7 +57,7 @@ func runCache(o Options, cp storfn.CacheParams, cfg fio.Config, jobs int) cacheR
 	v := h.NewVM(4, 512<<20)
 	sol := stack.NewNVMetro(h).WithCache(cp)
 	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-	cacher := sol.CacherFor(v)
+	cacher := sol.Wiring(v).Cacher()
 	vc := sol.ControllerFor(v)
 
 	var targets []fio.Target

@@ -121,7 +121,7 @@ func runChaosStack(o Options, mkSol func(h *stack.Host) *stack.NVMetro, plan *fa
 	v := h.NewVM(4, 512<<20)
 	sol := mkSol(h).WithSupervision(chaosPolicy(o))
 	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-	sup := sol.SupervisorFor(v)
+	sup := sol.Wiring(v).Supervisor
 	var inj *fault.Injector
 	if plan != nil {
 		inj = plan.Injector(site)

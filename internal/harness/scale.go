@@ -18,7 +18,7 @@ import (
 // SQ→HSQ mapping) on a per-shard NVMe device — the paper's per-core
 // SQ/HSQ deployment shape, one device queue pair set per shard, so the
 // sweep measures router scaling rather than a single drive's ceiling.
-// Tenants place least-loaded across ceil(N/32) shards (capped at 32) and
+// Tenants place round-robin across ceil(N/32) shards (capped at 32) and
 // run closed-loop QD1 512 B random reads: the per-op latency is then the
 // full mediation hop, making aggregate IOPS and p99 direct measures of
 // per-shard dispatch cost.
@@ -84,7 +84,7 @@ func runScale(o Options, vms int, episode bool) scaleRun {
 	h := stack.NewHost(env, vms+shards+2, vms, p, device.NullStore{})
 
 	// One device per shard: the host's drive serves shard 0, the rest are
-	// its twins. Tenant i lands on shard i%shards (least-loaded placement
+	// its twins. Tenant i lands on shard i%shards (round-robin placement
 	// in attach order), so its namespace lives on its shard's device.
 	devs := make([]*device.Device, shards)
 	devs[0] = h.Dev
@@ -136,7 +136,7 @@ func runScale(o Options, vms int, episode bool) scaleRun {
 		out.drained = out.drained && drainOutstanding(env, vc.Outstanding)
 	}
 
-	r := sol.Fleet().Router()
+	r := vcs[0].Router()
 	for _, vc := range vcs {
 		if vc.Promoted() {
 			out.promoted++

@@ -168,11 +168,8 @@ func runScrub(o Options, plan *fault.Plan, replica, scrubOn bool) scrubRun {
 	}
 	sol = sol.WithIntegrity(scrubConfig())
 	disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
-	vc := sol.ControllerFor(v)
-	scr := sol.ScrubberFor(v)
-	dom := sol.IntegrityDomainFor(v)
-	rs := sol.ResyncerFor(v)
-	rep := sol.ReplicatorFor(v)
+	w := sol.Wiring(v)
+	vc, scr, dom, rs, rep := w.Ctrl, w.Scrubber, w.Domain, w.Resyncer, w.Replicator
 
 	out := scrubRun{mirrorOK: true, scr: scr}
 

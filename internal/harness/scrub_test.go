@@ -118,7 +118,7 @@ func TestScrubQoSContract(t *testing.T) {
 		disk := sol.Provision(v, device.WholeNamespace(h.Dev, 1))
 		sol.SetQoS(v, qos.TenantConfig{IOPS: contractIOPS, BurstOps: 64})
 		vc := sol.ControllerFor(v)
-		scr := sol.ScrubberFor(v)
+		scr := sol.Wiring(v).Scrubber
 		if scrubOn {
 			scr.Start()
 		}

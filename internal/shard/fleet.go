@@ -1,117 +1,17 @@
-// Package shard is the per-core sharded dispatch subsystem: a fleet of
-// router workers, one per host core, replacing the single shared router
-// loop for multi-tenant stacks.
-//
-// Each shard owns its tenants exclusively — their VSQ/VCQ pairs, QoS
-// arbiter state and promotion decisions — and runs its own
-// poll/classify/dispatch cycle on its own host thread. Shards never take
-// a cross-shard lock: kernel-path completions and control-plane posts fan
-// into the owning shard through lock-free MPSC rings (package
-// shard/ring), and fleet-wide QoS views merge the per-shard arbiter
-// snapshots (tenants are disjoint across shards, so concatenation is the
-// merge).
-//
-// The fleet also hosts the adaptive path-promotion tier: when static
-// analysis proves a tenant's classifier always returns the pure fast-path
-// verdict, that tenant's hop collapses to a direct SQ→HSQ mapping and
-// classifier execution is elided; a classifier hot-swap demotes the
-// tenant synchronously before the new program can see a command.
+// Package shard names a shared core.Router by its sharded role. Dispatch,
+// placement, promotion and per-shard QoS all live in core.Router; the type
+// remains only because the repository benchmark (perfbench) is compiled
+// against (*stack.NVMetro).Fleet() returning a *Fleet with Router and Info.
 package shard
 
-import (
-	"fmt"
-	"strings"
+import "nvmetro/internal/core"
 
-	"nvmetro/internal/core"
-	"nvmetro/internal/device"
-	"nvmetro/internal/metrics"
-	"nvmetro/internal/qos"
-	"nvmetro/internal/sim"
-	"nvmetro/internal/vm"
-)
+// Fleet is a core.Router viewed as a fleet of per-core dispatch shards.
+type Fleet core.Router
 
-// Fleet is a sharded router: one core.Router whose workers are treated as
-// independent per-core shards, plus fleet-level placement, promotion and
-// QoS-merge policy.
-type Fleet struct {
-	env    *sim.Env
-	router *core.Router
-	counts []int // tenants per shard, maintained by Attach
-}
-
-// New builds a fleet with one shard per thread. threads must be distinct
-// host threads — one per core for the paper's deployment shape.
-func New(env *sim.Env, costs core.RouterCosts, threads []*sim.Thread) *Fleet {
-	return &Fleet{
-		env:    env,
-		router: core.NewRouter(env, costs, threads),
-		counts: make([]int, len(threads)),
-	}
-}
-
-// Router exposes the underlying router for policy tuning and stats.
-func (f *Fleet) Router() *core.Router { return f.router }
-
-// Shards returns the number of shards in the fleet.
-func (f *Fleet) Shards() int { return f.router.Workers() }
-
-// Attach places a tenant on the least-loaded shard (fewest tenants,
-// lowest shard ID on ties — deterministic) and returns its controller.
-func (f *Fleet) Attach(v *vm.VM, part device.Partition) *core.Controller {
-	best := 0
-	for i, n := range f.counts {
-		if n < f.counts[best] {
-			best = i
-		}
-	}
-	f.counts[best]++
-	return f.router.AttachWorker(best, v, part)
-}
-
-// EnablePromotion turns on the adaptive path-promotion tier fleet-wide.
-func (f *Fleet) EnablePromotion() { f.router.EnablePromotion() }
-
-// EnableQoS installs a per-shard WFQ arbiter on every shard.
-func (f *Fleet) EnableQoS(cfg qos.Config) { f.router.EnableQoS(cfg) }
-
-// QoSSnapshot returns the merged fleet-wide tenant snapshot.
-func (f *Fleet) QoSSnapshot(now sim.Time) []qos.TenantSnapshot {
-	return f.router.QoSSnapshot(now)
-}
-
-// CollectQoS folds every shard's arbiter counters into cs.
-func (f *Fleet) CollectQoS(cs *metrics.CounterSet) { f.router.CollectQoS(cs) }
+// Router returns the underlying router.
+func (f *Fleet) Router() *core.Router { return (*core.Router)(f) }
 
 // Info snapshots every shard's tenant assignment, promotion state and
 // inbox depths.
-func (f *Fleet) Info() []core.ShardInfo { return f.router.ShardInfos() }
-
-// Dump renders the fleet state for the control plane (nvmetroctl shard).
-func (f *Fleet) Dump() string {
-	var b strings.Builder
-	r := f.router
-	fmt.Fprintf(&b, "fleet: shards=%d promote=%v promotions=%d demotions=%d promoted-ops=%d\n",
-		r.Workers(), r.PromotionEnabled(), r.Promotions, r.Demotions, r.PromotedOps)
-	for _, si := range f.Info() {
-		state := "awake"
-		if si.Asleep {
-			state = "parked"
-		}
-		promoted := 0
-		for _, p := range si.Promoted {
-			if p {
-				promoted++
-			}
-		}
-		fmt.Fprintf(&b, "shard %d: tenants=%d promoted=%d comps=%d ctrl=%d qos=%v %s\n",
-			si.ID, len(si.VMs), promoted, si.CompDepth, si.CtrlDepth, si.QoS, state)
-		for i, id := range si.VMs {
-			tier := "routed"
-			if si.Promoted[i] {
-				tier = "promoted"
-			}
-			fmt.Fprintf(&b, "  vm%-4d %s\n", id, tier)
-		}
-	}
-	return b.String()
-}
+func (f *Fleet) Info() []core.ShardInfo { return f.Router().ShardInfos() }

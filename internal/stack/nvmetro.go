@@ -1,8 +1,11 @@
 package stack
 
 import (
+	"fmt"
+
 	"nvmetro/internal/blockdev"
 	"nvmetro/internal/core"
+	"nvmetro/internal/cow"
 	"nvmetro/internal/device"
 	"nvmetro/internal/integrity"
 	"nvmetro/internal/nvmeof"
@@ -20,109 +23,114 @@ import (
 // configuration runs the "dummy" fast-path classifier (or the partition
 // classifier when the VM is confined to a partition); the WithEncryption
 // and WithReplication options wire the complete storage functions.
+//
+// Every configuration dispatches through core.Router. The constructors
+// differ only in how many worker threads one router shares between VMs
+// (none: each VM gets its own one-worker router), whether path promotion is
+// on, and the host-thread tag the workers are charged under.
 type NVMetro struct {
-	h *Host
-	// SharedWorkers > 0 runs one router with that many worker threads
-	// shared by all VMs (the Fig. 5 scalability setup); otherwise each VM
-	// gets its own router worker (the main evaluation setup).
-	SharedWorkers int
-	// Shards > 0 runs the per-core sharded dispatch subsystem instead:
-	// a shard.Fleet with that many shards, least-loaded tenant placement
-	// and the adaptive path-promotion tier enabled (the scale sweep
-	// configuration). Mutually exclusive with SharedWorkers.
-	Shards int
-
-	shared     *core.Router
-	fl         *shard.Fleet
-	fw         *uif.Framework
-	setup      func(vc *core.Controller)
-	name       string
-	byVM       map[*vm.VM]*core.Controller
-	byCacher   map[*core.Controller]*storfn.Cacher
-	byCacheSup map[*core.Controller]*storfn.CacherSupervision
-	bySup      map[*core.Controller]*supervise.Supervisor
-	byRepl     map[*core.Controller]*replParts
-	byInteg    map[*core.Controller]*integWiring
-	qosCfg     *qos.Config
-	supPol     *supervise.Policy
-	integCfg   *integrity.ScrubConfig
-	golden     *GoldenImage
-	xform      bool // the UIF transforms data (encryption): device bytes != guest bytes
+	h        *Host
+	name     string
+	workers  int          // worker threads of one router shared by every VM; 0 = one router per VM
+	promote  bool         // adaptive path promotion
+	tag      string       // host-thread tag of the router workers
+	r        *core.Router // the shared router, built at the first Provision when workers > 0
+	fw       *uif.Framework
+	setup    func(w *Wiring)
+	vms      map[*vm.VM]*Wiring
+	qosCfg   *qos.Config
+	supPol   *supervise.Policy
+	integCfg *integrity.ScrubConfig
+	xform    bool // the UIF transforms data (encryption): device bytes != guest bytes
 }
 
-// replParts records the replication plumbing of one controller so the
-// integrity layer can guard the fan-out and scrub the mirror.
-type replParts struct {
-	rep *storfn.Replicator
-	att *uif.Attachment
-	sec blockdev.BlockDevice
-	fn  *storfn.ReplicatorSupervision // nil unless supervised
+// Wiring is one provisioned VM's NVMetro plumbing: its virtual controller
+// and the storage-function handles the solution attached to it. Handles
+// the configuration does not use are nil.
+type Wiring struct {
+	Ctrl       *core.Controller
+	Supervisor *supervise.Supervisor // WithSupervision
+	Replicator *storfn.Replicator    // WithReplication
+	Domain     *integrity.Domain     // WithIntegrity
+	Scrubber   *integrity.Scrubber   // WithIntegrity, unless the UIF transforms data
+	Resyncer   *storfn.Resyncer      // WithIntegrity over WithReplication
+	Clone      *cow.Store            // the CoW store when the namespace is a GoldenImage clone
+
+	cacher   *storfn.Cacher            // WithCache, unsupervised
+	cacheSup *storfn.CacherSupervision // WithCache under supervision
+
+	// Replication plumbing the integrity layer guards and scrubs.
+	replAtt *uif.Attachment
+	replSec blockdev.BlockDevice
+	replFn  *storfn.ReplicatorSupervision // nil unless supervised
 }
 
-// integWiring is one controller's end-to-end integrity state.
-type integWiring struct {
-	dom *integrity.Domain
-	scr *integrity.Scrubber
-	rs  *storfn.Resyncer
-}
-
-// NewNVMetro creates the basic configuration.
-func NewNVMetro(h *Host) *NVMetro {
-	return &NVMetro{h: h, name: "NVMetro", byVM: make(map[*vm.VM]*core.Controller)}
-}
-
-// NewNVMetroShared creates the shared-worker configuration.
-func NewNVMetroShared(h *Host, workers int) *NVMetro {
-	return &NVMetro{h: h, SharedWorkers: workers, name: "NVMetro", byVM: make(map[*vm.VM]*core.Controller)}
-}
-
-// NewNVMetroSharded creates the per-core sharded configuration: tenants
-// spread over a fleet of per-core dispatch shards with adaptive path
-// promotion enabled (package shard).
-func NewNVMetroSharded(h *Host, shards int) *NVMetro {
-	return &NVMetro{h: h, Shards: shards, name: "NVMetro Sharded", byVM: make(map[*vm.VM]*core.Controller)}
-}
-
-// Fleet returns the shard fleet (nil outside the sharded configuration or
-// before the first Provision).
-func (s *NVMetro) Fleet() *shard.Fleet { return s.fl }
-
-// fleet lazily builds the shard fleet, one host thread per shard.
-func (s *NVMetro) fleet() *shard.Fleet {
-	if s.fl == nil {
-		var threads []*sim.Thread
-		for i := 0; i < s.Shards; i++ {
-			threads = append(threads, s.h.HostThread("shard"))
-		}
-		s.fl = shard.New(s.h.Env, s.h.Params.Router, threads)
-		s.fl.EnablePromotion()
-		if s.qosCfg != nil {
-			s.fl.EnableQoS(*s.qosCfg)
-		}
+// Cacher returns the cache UIF (nil without WithCache). Under supervision
+// it is the current generation — a restart replaces it.
+func (w *Wiring) Cacher() *storfn.Cacher {
+	if w.cacheSup != nil {
+		return w.cacheSup.Cacher()
 	}
-	return s.fl
+	return w.cacher
 }
+
+func newNVMetro(h *Host, name string, workers int, tag string) *NVMetro {
+	return &NVMetro{h: h, name: name, workers: workers, tag: tag, vms: make(map[*vm.VM]*Wiring)}
+}
+
+// mustHaveWorkers rejects a shared-router worker count below one.
+func mustHaveWorkers(ctor string, n int) {
+	if n < 1 {
+		panic(fmt.Sprintf("stack: %s needs at least 1 worker, got %d", ctor, n))
+	}
+}
+
+// NewNVMetro creates the basic configuration: one router per VM.
+func NewNVMetro(h *Host) *NVMetro { return newNVMetro(h, "NVMetro", 0, "router") }
+
+// NewNVMetroShared creates the shared-worker configuration: one router
+// whose workers (at least one) serve every VM.
+func NewNVMetroShared(h *Host, workers int) *NVMetro {
+	mustHaveWorkers("NewNVMetroShared", workers)
+	return newNVMetro(h, "NVMetro", workers, "router")
+}
+
+// NewNVMetroSharded creates the per-core sharded configuration: one router
+// whose shards (at least one, one host thread each) take tenants
+// round-robin, with adaptive path promotion enabled.
+func NewNVMetroSharded(h *Host, shards int) *NVMetro {
+	mustHaveWorkers("NewNVMetroSharded", shards)
+	s := newNVMetro(h, "NVMetro Sharded", shards, "shard")
+	s.promote = true
+	return s
+}
+
+// Fleet returns the shared router viewed as a shard fleet (nil with one
+// router per VM, or before the first Provision).
+func (s *NVMetro) Fleet() *shard.Fleet { return (*shard.Fleet)(s.r) }
 
 // Name implements Solution.
 func (s *NVMetro) Name() string { return s.name }
 
+// router returns the router serving the next VM: the shared one, built
+// with its worker threads at the first call, or a fresh one-worker router.
 func (s *NVMetro) router() *core.Router {
-	if s.SharedWorkers > 0 {
-		if s.shared == nil {
-			var threads []*sim.Thread
-			for i := 0; i < s.SharedWorkers; i++ {
-				threads = append(threads, s.h.HostThread("router"))
-			}
-			s.shared = core.NewRouter(s.h.Env, s.h.Params.Router, threads)
-			if s.qosCfg != nil {
-				s.shared.EnableQoS(*s.qosCfg)
-			}
-		}
-		return s.shared
+	if s.r != nil {
+		return s.r
 	}
-	r := core.NewRouter(s.h.Env, s.h.Params.Router, []*sim.Thread{s.h.HostThread("router")})
+	threads := make([]*sim.Thread, max(s.workers, 1))
+	for i := range threads {
+		threads[i] = s.h.HostThread(s.tag)
+	}
+	r := core.NewRouter(s.h.Env, s.h.Params.Router, threads)
+	if s.promote {
+		r.EnablePromotion()
+	}
 	if s.qosCfg != nil {
 		r.EnableQoS(*s.qosCfg)
+	}
+	if s.workers > 0 {
+		s.r = r
 	}
 	return r
 }
@@ -130,42 +138,36 @@ func (s *NVMetro) router() *core.Router {
 // WithQoS enables the WFQ arbiter on the router(s) this solution creates.
 // VMs register as tenants with a default contract at Provision time; SetQoS
 // installs per-VM contracts afterwards. Cross-tenant arbitration only takes
-// effect in the shared-worker configuration, where one router sees every
-// VM; in the router-per-VM setup only the per-tenant rate limits and SLO
-// tracking apply. Calling WithQoS after VMs are provisioned enables the
-// arbiter on the already-created routers too (their attached VMs register
-// as tenants immediately); EnableQoS keeps the first config if one was
-// already installed.
+// effect with a shared router, where one worker sees several VMs; in the
+// router-per-VM setup only the per-tenant rate limits and SLO tracking
+// apply. Calling WithQoS after VMs are provisioned enables the arbiter on
+// the already-created routers too (their attached VMs register as tenants
+// immediately); EnableQoS keeps the first config if one was already
+// installed.
 func (s *NVMetro) WithQoS(cfg qos.Config) *NVMetro {
 	s.qosCfg = &cfg
-	if s.shared != nil {
-		s.shared.EnableQoS(cfg)
-	}
-	if s.fl != nil {
-		s.fl.EnableQoS(cfg)
-	}
-	for _, vc := range s.byVM {
-		vc.Router().EnableQoS(cfg)
+	for _, w := range s.vms {
+		w.Ctrl.Router().EnableQoS(cfg)
 	}
 	return s
 }
 
 // SetQoS replaces the QoS contract of an already-provisioned VM.
 func (s *NVMetro) SetQoS(v *vm.VM, tc qos.TenantConfig) {
-	vc := s.byVM[v]
-	if vc == nil {
+	w := s.vms[v]
+	if w == nil {
 		panic("stack: SetQoS before Provision")
 	}
-	vc.SetQoS(tc)
+	w.Ctrl.SetQoS(tc)
 }
 
-// QoSArbiter returns the shared router's arbiter for inspection (nil
+// QoSArbiter returns the shared router's first arbiter for inspection (nil
 // unless WithQoS was configured and a shared router exists).
 func (s *NVMetro) QoSArbiter() *qos.Arbiter {
-	if s.shared == nil {
+	if s.r == nil {
 		return nil
 	}
-	return s.shared.QoS()
+	return s.r.QoS()
 }
 
 // framework lazily creates the (single-process, multi-VM) UIF framework.
@@ -182,7 +184,15 @@ func (s *NVMetro) framework(threads int) *uif.Framework {
 
 // ControllerFor returns the virtual controller provisioned for v (the
 // control-plane handle used to swap classifiers or attach UIFs live).
-func (s *NVMetro) ControllerFor(v *vm.VM) *core.Controller { return s.byVM[v] }
+func (s *NVMetro) ControllerFor(v *vm.VM) *core.Controller {
+	if w := s.vms[v]; w != nil {
+		return w.Ctrl
+	}
+	return nil
+}
+
+// Wiring returns everything provisioned for v (nil before Provision).
+func (s *NVMetro) Wiring(v *vm.VM) *Wiring { return s.vms[v] }
 
 // WithSupervision runs every storage-function UIF this solution attaches
 // under a supervisor with the given watchdog/restart policy. Applies to
@@ -193,49 +203,37 @@ func (s *NVMetro) WithSupervision(pol supervise.Policy) *NVMetro {
 		panic(err)
 	}
 	s.supPol = &pol
-	if s.bySup == nil {
-		s.bySup = make(map[*core.Controller]*supervise.Supervisor)
-	}
 	return s
 }
 
-// SupervisorFor returns the supervisor attached to v's storage function,
-// or nil when WithSupervision is not configured.
-func (s *NVMetro) SupervisorFor(v *vm.VM) *supervise.Supervisor {
-	return s.bySup[s.byVM[v]]
-}
-
 // launchSupervised starts fn's UIF under the configured supervision policy.
-func (s *NVMetro) launchSupervised(vc *core.Controller, fw *uif.Framework, ring *blockdev.URing, fn supervise.Function) *supervise.Supervisor {
-	sup, err := supervise.Launch(s.h.Env, fw, vc, ring, 512, fn, *s.supPol)
+func (s *NVMetro) launchSupervised(w *Wiring, fw *uif.Framework, ring *blockdev.URing, fn supervise.Function) *supervise.Supervisor {
+	sup, err := supervise.Launch(s.h.Env, fw, w.Ctrl, ring, 512, fn, *s.supPol)
 	if err != nil {
 		panic(err)
 	}
-	s.bySup[vc] = sup
+	w.Supervisor = sup
 	return sup
 }
 
 // Provision implements Solution.
 func (s *NVMetro) Provision(v *vm.VM, part device.Partition) vm.Disk {
-	var vc *core.Controller
-	if s.Shards > 0 {
-		vc = s.fleet().Attach(v, part)
-	} else {
-		vc = s.router().Attach(v, part)
-	}
-	s.byVM[v] = vc
+	w := &Wiring{Ctrl: s.router().Attach(v, part)}
+	ns := part.Dev.Namespace(part.NSID)
+	w.Clone, _ = ns.Store.(*cow.Store)
+	s.vms[v] = w
 	if s.setup != nil {
-		s.setup(vc)
-	} else if part.Start != 0 || part.Blocks != part.Dev.Namespace(part.NSID).Info.Size {
+		s.setup(w)
+	} else if part.Start != 0 || part.Blocks != ns.Info.Size {
 		prog, _ := storfn.PartitionClassifier(part)
-		if err := vc.LoadClassifier(prog); err != nil {
+		if err := w.Ctrl.LoadClassifier(prog); err != nil {
 			panic(err)
 		}
 	}
 	if s.integCfg != nil {
-		s.wireIntegrity(vc)
+		s.wireIntegrity(w)
 	}
-	return vm.NewNVMeDisk(v, vc, 128, s.h.Params.Driver)
+	return vm.NewNVMeDisk(v, w.Ctrl, 128, s.h.Params.Driver)
 }
 
 // WithIntegrity enables end-to-end data integrity on every VM provisioned
@@ -248,22 +246,19 @@ func (s *NVMetro) Provision(v *vm.VM, part device.Partition) vm.Disk {
 // have no plaintext expectation to check and scrubbing is skipped).
 func (s *NVMetro) WithIntegrity(cfg integrity.ScrubConfig) *NVMetro {
 	s.integCfg = &cfg
-	if s.byInteg == nil {
-		s.byInteg = make(map[*core.Controller]*integWiring)
-	}
 	return s
 }
 
 // wireIntegrity builds one controller's PI domain, attaches a guard to
 // every boundary the active configuration exposes, and starts its scrubber.
-func (s *NVMetro) wireIntegrity(vc *core.Controller) {
+func (s *NVMetro) wireIntegrity(w *Wiring) {
+	vc := w.Ctrl
 	part := vc.Partition()
 	dom, err := integrity.NewDomain(part.Dev.Params().BlockSize())
 	if err != nil {
 		panic(err)
 	}
-	w := &integWiring{dom: dom}
-	s.byInteg[vc] = w
+	w.Domain = dom
 	vc.SetGuard(dom.Guard("guest"))
 	if s.xform {
 		return // ciphertext below the UIF: no device-side expectation
@@ -278,72 +273,27 @@ func (s *NVMetro) wireIntegrity(vc *core.Controller) {
 	if err != nil {
 		panic(err)
 	}
-	w.scr = scr
+	w.Scrubber = scr
 
-	if c := s.cacherOf(vc); c != nil {
+	if c := w.Cacher(); c != nil {
 		c.Guard = dom.Guard("cache")
 		scr.SetCache(c.Cache())
 	}
-	if rp := s.byRepl[vc]; rp != nil {
-		rp.rep.Guard = dom.Guard("replica")
-		if ini, ok := rp.sec.(*nvmeof.Initiator); ok {
+	if rep := w.Replicator; rep != nil {
+		rep.Guard = dom.Guard("replica")
+		if ini, ok := w.replSec.(*nvmeof.Initiator); ok {
 			ini.SetVerifier(&integrity.SectorGuard{G: dom.Guard("fabric"), Size: blockdev.SectorSize})
 		}
-		rs, err := storfn.NewResyncer(s.h.Env, rp.rep, bdev, rp.att, s.h.HostThread("resync"), shift, storfn.DefaultResyncConfig())
+		rs, err := storfn.NewResyncer(s.h.Env, rep, bdev, w.replAtt, s.h.HostThread("resync"), shift, storfn.DefaultResyncConfig())
 		if err != nil {
 			panic(err)
 		}
-		w.rs = rs
-		if rp.fn != nil {
-			rp.fn.SetResyncer(rs)
+		w.Resyncer = rs
+		if w.replFn != nil {
+			w.replFn.SetResyncer(rs)
 		}
-		scr.SetReplica(rp.rep, rs, rp.att)
+		scr.SetReplica(rep, rs, w.replAtt)
 	}
-}
-
-// cacherOf returns the current cache UIF generation for vc, if any.
-func (s *NVMetro) cacherOf(vc *core.Controller) *storfn.Cacher {
-	if cs := s.byCacheSup[vc]; cs != nil {
-		return cs.Cacher()
-	}
-	return s.byCacher[vc]
-}
-
-// IntegrityDomainFor returns the PI domain wired for v's controller, or
-// nil when WithIntegrity is not configured.
-func (s *NVMetro) IntegrityDomainFor(v *vm.VM) *integrity.Domain {
-	if w := s.byInteg[s.byVM[v]]; w != nil {
-		return w.dom
-	}
-	return nil
-}
-
-// ScrubberFor returns the background scrubber wired for v's controller, or
-// nil when WithIntegrity is not configured (or the configuration has no
-// device-side expectation to scrub).
-func (s *NVMetro) ScrubberFor(v *vm.VM) *integrity.Scrubber {
-	if w := s.byInteg[s.byVM[v]]; w != nil {
-		return w.scr
-	}
-	return nil
-}
-
-// ResyncerFor returns the mirror-consistency engine created for v's
-// replicated, integrity-wired controller (nil otherwise).
-func (s *NVMetro) ResyncerFor(v *vm.VM) *storfn.Resyncer {
-	if w := s.byInteg[s.byVM[v]]; w != nil {
-		return w.rs
-	}
-	return nil
-}
-
-// ReplicatorFor returns the replication state for v's controller, or nil
-// when WithReplication is not configured.
-func (s *NVMetro) ReplicatorFor(v *vm.VM) *storfn.Replicator {
-	if rp := s.byRepl[s.byVM[v]]; rp != nil {
-		return rp.rep
-	}
-	return nil
 }
 
 // WithEncryption configures the transparent-encryption storage function:
@@ -356,12 +306,13 @@ func (s *NVMetro) WithEncryption(key []byte, useSGX bool) *NVMetro {
 		s.name = "NVMetro SGX"
 	}
 	s.xform = true
-	s.setup = func(vc *core.Controller) {
+	s.setup = func(w *Wiring) {
+		vc := w.Ctrl
 		part := vc.Partition()
 		bdev := blockdev.NewNVMeBlockDev(s.h.Env, device.WholeNamespace(part.Dev, part.NSID), s.h.CPU, s.h.guestCores, s.h.Params.Block)
 		ring := blockdev.NewURing(s.h.Env, bdev, s.h.Params.URing)
 		if s.supPol != nil && !useSGX {
-			s.launchSupervised(vc, s.framework(2), ring,
+			s.launchSupervised(w, s.framework(2), ring,
 				storfn.NewEncryptorSupervision(part, key, s.h.Params.Enc))
 			return
 		}
@@ -396,26 +347,23 @@ func (s *NVMetro) WithEncryption(key []byte, useSGX bool) *NVMetro {
 // the remote block device backing a given local partition.
 func (s *NVMetro) WithReplication(secondary func(part device.Partition) blockdev.BlockDevice) *NVMetro {
 	s.name = "NVMetro Repl."
-	if s.byRepl == nil {
-		s.byRepl = make(map[*core.Controller]*replParts)
-	}
-	s.setup = func(vc *core.Controller) {
+	s.setup = func(w *Wiring) {
+		vc := w.Ctrl
 		part := vc.Partition()
 		sec := secondary(part)
 		ring := blockdev.NewURing(s.h.Env, sec, s.h.Params.URing)
 		rep := storfn.NewReplicator()
+		w.Replicator, w.replSec = rep, sec
 		if s.supPol != nil {
-			fn := storfn.NewReplicatorSupervision(part, rep)
-			sup := s.launchSupervised(vc, s.framework(1), ring, fn)
-			s.byRepl[vc] = &replParts{rep: rep, att: sup.Attachment(), sec: sec, fn: fn}
+			w.replFn = storfn.NewReplicatorSupervision(part, rep)
+			w.replAtt = s.launchSupervised(w, s.framework(1), ring, w.replFn).Attachment()
 			return
 		}
 		prog, _ := storfn.ReplicatorClassifier(part)
 		if err := vc.LoadClassifier(prog); err != nil {
 			panic(err)
 		}
-		att := s.framework(1).Attach(vc.AttachUIF(512), rep, ring)
-		s.byRepl[vc] = &replParts{rep: rep, att: att, sec: sec}
+		w.replAtt = s.framework(1).Attach(vc.AttachUIF(512), rep, ring)
 	}
 	return s
 }
@@ -426,45 +374,27 @@ func (s *NVMetro) WithReplication(secondary func(part device.Partition) blockdev
 // invalidation window so cached data can never go stale.
 func (s *NVMetro) WithCache(cp storfn.CacheParams) *NVMetro {
 	s.name = "NVMetro Cache"
-	if s.byCacher == nil {
-		s.byCacher = make(map[*core.Controller]*storfn.Cacher)
-	}
-	s.setup = func(vc *core.Controller) {
+	s.setup = func(w *Wiring) {
+		vc := w.Ctrl
 		part := vc.Partition()
 		p := cp
 		p.Cache.BlockSize = uint32(1) << part.Dev.Params().LBAShift
 		bdev := blockdev.NewNVMeBlockDev(s.h.Env, device.WholeNamespace(part.Dev, part.NSID), s.h.CPU, s.h.guestCores, s.h.Params.Block)
 		ring := blockdev.NewURing(s.h.Env, bdev, s.h.Params.URing)
 		if s.supPol != nil {
-			cs := storfn.NewCacherSupervision(s.h.Env, part, p)
-			s.launchSupervised(vc, s.framework(2), ring, cs)
-			if s.byCacheSup == nil {
-				s.byCacheSup = make(map[*core.Controller]*storfn.CacherSupervision)
-			}
-			s.byCacheSup[vc] = cs
+			w.cacheSup = storfn.NewCacherSupervision(s.h.Env, part, p)
+			s.launchSupervised(w, s.framework(2), ring, w.cacheSup)
 			return
 		}
 		nq := vc.AttachUIF(512)
-		cacher := storfn.NewCacher(s.h.Env, p)
-		s.byCacher[vc] = cacher
-		prog, _ := storfn.CacheClassifier(part, cacher.Hints(), p.HotThreshold)
+		w.cacher = storfn.NewCacher(s.h.Env, p)
+		prog, _ := storfn.CacheClassifier(part, w.cacher.Hints(), p.HotThreshold)
 		if err := vc.LoadClassifier(prog); err != nil {
 			panic(err)
 		}
-		s.framework(2).Attach(nq, cacher, ring)
+		s.framework(2).Attach(nq, w.cacher, ring)
 	}
 	return s
-}
-
-// CacherFor returns the cache UIF provisioned for v's controller (stats,
-// cache and heat-map access), or nil when WithCache is not configured.
-// Under supervision this is the current generation — a restart replaces it.
-func (s *NVMetro) CacherFor(v *vm.VM) *storfn.Cacher {
-	vc := s.byVM[v]
-	if cs := s.byCacheSup[vc]; cs != nil {
-		return cs.Cacher()
-	}
-	return s.byCacher[vc]
 }
 
 // RemoteHost is a second machine holding the replication secondary.

@@ -4,7 +4,6 @@ import (
 	"nvmetro/internal/cow"
 	"nvmetro/internal/device"
 	"nvmetro/internal/metrics"
-	"nvmetro/internal/vm"
 )
 
 // GoldenImage is a sealed master image plus the content-addressed chunk
@@ -15,7 +14,6 @@ type GoldenImage struct {
 	h      *Host
 	idx    *cow.Index
 	master *cow.Store
-	clones map[*vm.VM]*cow.Store
 }
 
 // NewGoldenImage creates an empty golden image of the given size on the
@@ -31,7 +29,6 @@ func NewGoldenImage(h *Host, blocks uint64, cacheChunks uint64) *GoldenImage {
 		h:      h,
 		idx:    idx,
 		master: cow.NewStore(idx, blocks, nil),
-		clones: make(map[*vm.VM]*cow.Store),
 	}
 }
 
@@ -61,46 +58,18 @@ func (g *GoldenImage) BaseCRC() uint32 {
 // ContentCRC fingerprints the master's full logical content.
 func (g *GoldenImage) ContentCRC() uint32 { return g.master.ContentCRC() }
 
-// CloneStore derives one writable CoW store from the image (sealing first
-// if needed) without attaching it to anything.
-func (g *GoldenImage) CloneStore() *cow.Store { return g.master.Clone() }
+// Clone derives one writable CoW store from the image (sealing first if
+// needed), attaches it as a fresh namespace of the host device and returns
+// the whole of it, ready for any Solution's Provision; NVMetro records the
+// store in the VM's Wiring. The clone itself copies no data; the namespace
+// is ready as soon as the metadata references are taken.
+func (g *GoldenImage) Clone() device.Partition {
+	c := g.master.Clone()
+	dev := g.h.Dev
+	nsid := dev.NextNSID()
+	dev.AddNamespace(nsid, c.Blocks(), c)
+	return device.WholeNamespace(dev, nsid)
+}
 
 // Collect exports the shared index (and cache) counters.
 func (g *GoldenImage) Collect(cs *metrics.CounterSet) { g.idx.Collect(cs) }
-
-// WithSnapshots arms the solution with a golden image: VMs provisioned
-// via CloneFrom get a freshly cloned namespace instead of a partition of
-// the device's flat namespace 1.
-func (s *NVMetro) WithSnapshots(g *GoldenImage) *NVMetro {
-	s.golden = g
-	return s
-}
-
-// Golden returns the armed golden image (nil without WithSnapshots).
-func (s *NVMetro) Golden() *GoldenImage { return s.golden }
-
-// CloneFrom clones the golden image onto a fresh namespace of the host
-// device and provisions v over the whole of it, composing with whatever
-// else the solution wires (cache, QoS, integrity, supervision). The clone
-// itself copies no data; the namespace is ready as soon as the metadata
-// references are taken.
-func (s *NVMetro) CloneFrom(v *vm.VM) vm.Disk {
-	if s.golden == nil {
-		panic("stack: CloneFrom without WithSnapshots")
-	}
-	c := s.golden.CloneStore()
-	dev := s.h.Dev
-	nsid := dev.NextNSID()
-	dev.AddNamespace(nsid, c.Blocks(), c)
-	s.golden.clones[v] = c
-	return s.Provision(v, device.WholeNamespace(dev, nsid))
-}
-
-// CloneStoreFor returns the CoW store backing v's cloned namespace (nil
-// when v was not provisioned via CloneFrom).
-func (s *NVMetro) CloneStoreFor(v *vm.VM) *cow.Store {
-	if s.golden == nil {
-		return nil
-	}
-	return s.golden.clones[v]
-}

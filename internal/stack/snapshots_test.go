@@ -35,10 +35,10 @@ func TestCloneRoundTrip(t *testing.T) {
 
 	v1 := h.NewVM(1, 16<<20)
 	v2 := h.NewVM(1, 16<<20)
-	s1 := stack.NewNVMetro(h).WithSnapshots(img)
-	s2 := stack.NewNVMetro(h).WithSnapshots(img)
-	d1 := s1.CloneFrom(v1)
-	d2 := s2.CloneFrom(v2)
+	s1 := stack.NewNVMetro(h)
+	s2 := stack.NewNVMetro(h)
+	d1 := s1.Provision(v1, img.Clone())
+	d2 := s2.Provision(v2, img.Clone())
 	if s1.ControllerFor(v1).Partition().NSID < 2 || s2.ControllerFor(v2).Partition().NSID < 2 {
 		t.Fatal("clones not on fresh namespaces")
 	}
@@ -88,7 +88,7 @@ func TestCloneRoundTrip(t *testing.T) {
 	}
 
 	// CoW accounting and isolation invariants.
-	c1, c2 := s1.CloneStoreFor(v1), s2.CloneStoreFor(v2)
+	c1, c2 := s1.Wiring(v1).Clone, s2.Wiring(v2).Clone
 	if c1.CowBreaks == 0 {
 		t.Error("tenant write did not CoW-break")
 	}

@@ -2,6 +2,7 @@ package stack_test
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"nvmetro/internal/device"
@@ -218,6 +219,31 @@ func TestNVMetroScalabilityWithSharedWorker(t *testing.T) {
 	t.Logf("1 VM: %.0f IOPS, 4 VMs: %.0f IOPS", one, four)
 	if four < one*1.5 {
 		t.Errorf("throughput must scale with VM count (1 VM %.0f, 4 VMs %.0f)", one, four)
+	}
+}
+
+// TestSharedRouterRejectsZeroWorkers: a shared router needs at least one
+// worker; a zero count is rejected at construction instead of silently
+// falling back to one router per VM (and, sharded, losing promotion).
+func TestSharedRouterRejectsZeroWorkers(t *testing.T) {
+	env := sim.New(1)
+	defer env.Close()
+	h := stack.NewHost(env, 12, 4, stack.DefaultParams(), device.NullStore{})
+	for name, ctor := range map[string]func(*stack.Host, int) *stack.NVMetro{
+		"NewNVMetroShared":  stack.NewNVMetroShared,
+		"NewNVMetroSharded": stack.NewNVMetroSharded,
+	} {
+		for _, n := range []int{0, -1} {
+			func() {
+				defer func() {
+					msg, _ := recover().(string)
+					if !strings.Contains(msg, name) || !strings.Contains(msg, "at least 1 worker") {
+						t.Errorf("%s(h, %d): panic %q, want a worker-count rejection", name, n, msg)
+					}
+				}()
+				ctor(h, n)
+			}()
+		}
 	}
 }
 

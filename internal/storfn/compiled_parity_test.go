@@ -10,6 +10,8 @@ import (
 	"nvmetro/internal/core"
 	"nvmetro/internal/device"
 	"nvmetro/internal/ebpf"
+	"nvmetro/internal/nvme"
+	"nvmetro/internal/qos"
 	"nvmetro/internal/storfn"
 )
 
@@ -32,6 +34,11 @@ func shippedClassifiers() map[string]func() *ebpf.Program {
 		},
 		"qos": func() *ebpf.Program {
 			p, _, _ := storfn.QoSClassifier(part)
+			return p
+		},
+		"qosclass": func() *ebpf.Program {
+			p, _, class := storfn.QoSClassClassifier(part)
+			core.SetOpcodeClass(class, nvme.OpWrite, qos.ClassBulk)
 			return p
 		},
 		"cache": func() *ebpf.Program {
@@ -59,8 +66,9 @@ func genCtx(rng *rand.Rand) []byte {
 
 // TestShippedClassifierParity runs every shipped classifier on both
 // execution tiers (independent map state each) across a shared command
-// sequence and requires identical action words and context writebacks —
-// the contract that lets the router run them compiled by default.
+// sequence and requires identical action words, context writebacks and
+// QoS class tags — the contract that lets the router run them compiled,
+// with the interpreter as the oracle.
 func TestShippedClassifierParity(t *testing.T) {
 	for name, build := range shippedClassifiers() {
 		t.Run(name, func(t *testing.T) {
@@ -85,6 +93,9 @@ func TestShippedClassifierParity(t *testing.T) {
 				}
 				if !bytes.Equal(ctxI, ctxC) {
 					t.Fatalf("cmd %d: ctx writeback diverged", i)
+				}
+				if errI == nil && vmI.QoSClass != vmC.QoSClass {
+					t.Fatalf("cmd %d: class %d (interp) != %d (compiled)", i, vmI.QoSClass, vmC.QoSClass)
 				}
 			}
 		})

@@ -6,13 +6,16 @@
 //
 //	sys := nvmetro.NewSystem(nvmetro.Defaults())
 //	vm1 := sys.NewVM(4, 64<<20)
-//	disk := sys.AttachNVMetro(vm1, sys.WholeDisk())
+//	disk := sys.Attach(sys.NewNVMetro(), vm1, sys.WholeDisk())
 //	res := sys.RunFIO(nvmetro.FIOConfig{...}, disk.Targets(1))
 //
-// Storage functions (transparent encryption, live replication) attach with
-// one call, custom eBPF classifiers can be assembled from text and loaded
-// live, and every table/figure of the paper's evaluation can be regenerated
-// through RunExperiment.
+// Every disk attaches through System.Attach. The solution says what the
+// disk runs: NewNVMetro, NewNVMetroShared or NewNVMetroSharded, chained
+// with storage functions (WithEncryption, WithReplication, WithCache),
+// supervision (WithSupervision) and integrity protection (WithIntegrity),
+// or one of the paper's baselines from Baseline. Custom eBPF classifiers
+// can be assembled from text and loaded live, and every table/figure of
+// the paper's evaluation can be regenerated through RunExperiment.
 package nvmetro
 
 import (
@@ -29,7 +32,6 @@ import (
 	"nvmetro/internal/integrity"
 	"nvmetro/internal/metrics"
 	"nvmetro/internal/qos"
-	"nvmetro/internal/shard"
 	"nvmetro/internal/sim"
 	"nvmetro/internal/stack"
 	"nvmetro/internal/storfn"
@@ -88,14 +90,17 @@ type (
 	QoSTenantConfig = qos.TenantConfig
 	// QoSTenantSnapshot is a point-in-time view of one tenant's QoS state.
 	QoSTenantSnapshot = qos.TenantSnapshot
-	// SharedNVMetro is the shared-worker NVMetro solution handle, used for
-	// multi-tenant setups (QoS arbitration, Fig. 5 scaling).
-	SharedNVMetro = stack.NVMetro
-	// ShardFleet is the per-core sharded dispatch fleet: per-shard tenant
-	// ownership, lock-free completion fan-in and adaptive path promotion.
-	ShardFleet = shard.Fleet
-	// ShardInfo is a point-in-time view of one shard's tenant assignment,
-	// promotion state and inbox depths.
+	// Solution provisions disks for VMs: an NVMetro configuration or a
+	// baseline stack.
+	Solution = stack.Solution
+	// NVMetro is an NVMetro solution handle; its With* methods chain
+	// storage functions, supervision, integrity and QoS onto it.
+	NVMetro = stack.NVMetro
+	// Wiring is one attached VM's NVMetro plumbing: controller, supervisor,
+	// cacher, integrity domain, scrubber, resyncer and CoW clone store.
+	Wiring = stack.Wiring
+	// ShardInfo is a point-in-time view of one router worker's (shard's)
+	// tenant assignment, promotion state and inbox depths.
 	ShardInfo = core.ShardInfo
 
 	// SupervisePolicy tunes the UIF watchdog and restart behaviour.
@@ -224,11 +229,14 @@ func (s *System) NewVM(vcpus int, memBytes uint64) *VM {
 	return s.Host.NewVM(vcpus, memBytes)
 }
 
-// AttachedDisk couples a provisioned disk with its VM for workload helpers.
+// AttachedDisk couples a provisioned disk with its VM and, for NVMetro
+// solutions, the VM's Wiring: Ctrl, Supervisor, Replicator, Cacher(),
+// Domain, Scrubber, Resyncer and Clone, each nil when not configured. Ctrl
+// is nil only for baselines.
 type AttachedDisk struct {
 	VM   *VM
 	Disk Disk
-	Ctrl *Controller // nil for non-NVMetro solutions
+	*Wiring
 }
 
 // Targets builds fio job placements on the first n vCPUs.
@@ -240,40 +248,47 @@ func (d *AttachedDisk) Targets(n int) []FIOTarget {
 	return out
 }
 
-// AttachNVMetro gives the VM an NVMetro virtual controller over part, with
-// the default fast-path classifier (partition-confining when part is a true
-// partition).
-func (s *System) AttachNVMetro(v *VM, part Partition) *AttachedDisk {
-	sol := stack.NewNVMetro(s.Host)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}
+// Attach provisions a disk for v over part with sol. NVMetro solutions
+// come from NewNVMetro, NewNVMetroShared or NewNVMetroSharded, baselines
+// from Baseline. For a copy-on-write clone, pass GoldenImage.Clone() as
+// part.
+func (s *System) Attach(sol Solution, v *VM, part Partition) *AttachedDisk {
+	d := &AttachedDisk{VM: v, Disk: sol.Provision(v, part), Wiring: &Wiring{}}
+	if n, ok := sol.(*NVMetro); ok {
+		d.Wiring = n.Wiring(v)
+	}
+	return d
 }
 
-// AttachEncrypted provisions an NVMetro disk with the transparent
-// XTS-AES encryption storage function (classifier + UIF). Set useSGX for
-// the enclave-backed variant.
-func (s *System) AttachEncrypted(v *VM, part Partition, key []byte, useSGX bool) *AttachedDisk {
-	sol := stack.NewNVMetro(s.Host).WithEncryption(key, useSGX)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}
+// NewNVMetro creates the basic NVMetro solution: one router per VM, the
+// default fast-path classifier (partition-confining when the disk is a
+// true partition).
+func (s *System) NewNVMetro() *NVMetro { return stack.NewNVMetro(s.Host) }
+
+// NewNVMetroShared creates a shared-worker NVMetro solution: one router
+// with the given worker count (at least 1) serving every VM attached
+// through it. Chain WithQoS to arbitrate the shared worker between tenants.
+func (s *System) NewNVMetroShared(workers int) *NVMetro {
+	return stack.NewNVMetroShared(s.Host, workers)
+}
+
+// NewNVMetroSharded creates the per-core sharded NVMetro solution: one
+// router with the given number of dispatch shards (at least 1, one host
+// thread each), round-robin tenant placement and adaptive path promotion
+// enabled.
+func (s *System) NewNVMetroSharded(shards int) *NVMetro {
+	return stack.NewNVMetroSharded(s.Host, shards)
 }
 
 // RemoteHost is a second machine reachable over a simulated NVMe-oF fabric.
 type RemoteHost = stack.RemoteHost
 
 // NewRemoteHost creates the remote machine for replication setups, with its
-// own CPU, NVMe drive and fabric link back to this host.
+// own CPU, NVMe drive and fabric link back to this host. Pass its
+// Secondary() to NVMetro.WithReplication.
 func (s *System) NewRemoteHost(cores int) *RemoteHost {
 	mode := s.cfg.Backing
 	return stack.NewRemoteHost(s.Env, cores, s.cfg.Params.Device, device.NewStore(mode, s.cfg.Params.Device.BlockSize()))
-}
-
-// AttachReplicated provisions an NVMetro disk with the live-replication
-// storage function: reads local, writes mirrored synchronously to remote.
-func (s *System) AttachReplicated(v *VM, part Partition, remote *RemoteHost) *AttachedDisk {
-	sol := stack.NewNVMetro(s.Host).WithReplication(remote.Secondary())
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}
 }
 
 // CacheParams configures the classifier-steered host block cache storage
@@ -287,50 +302,12 @@ type Cacher = storfn.Cacher
 // DefaultCacheParams returns the calibrated cache configuration.
 func DefaultCacheParams() CacheParams { return storfn.DefaultCacheParams() }
 
-// AttachCached provisions an NVMetro disk with the host block cache storage
-// function: an eBPF classifier counts per-bucket read heat and steers hot
-// reads to a caching UIF, while every write passes through the UIF's
-// invalidation window so cached blocks can never go stale. The returned
-// Cacher exposes hit/miss statistics and the cache itself.
-func (s *System) AttachCached(v *VM, part Partition, cp CacheParams) (*AttachedDisk, *Cacher) {
-	sol := stack.NewNVMetro(s.Host).WithCache(cp)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}, sol.CacherFor(v)
-}
-
 // DefaultSupervisePolicy returns the calibrated UIF watchdog policy.
 func DefaultSupervisePolicy() SupervisePolicy { return supervise.DefaultPolicy() }
 
 // NewFaultPlan creates a deterministic fault schedule; arm sites on it
 // (e.g. WithUIFCrash) and hand per-site injectors to a Supervisor.
 func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }
-
-// AttachEncryptedSupervised is AttachEncrypted under UIF supervision: the
-// returned Supervisor detects a crashed or wedged encryptor, fail-stops
-// routing (never plaintext) and restarts it under backoff.
-func (s *System) AttachEncryptedSupervised(v *VM, part Partition, key []byte, pol SupervisePolicy) (*AttachedDisk, *Supervisor) {
-	sol := stack.NewNVMetro(s.Host).WithEncryption(key, false).WithSupervision(pol)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}, sol.SupervisorFor(v)
-}
-
-// AttachCachedSupervised is AttachCached under UIF supervision: on failure
-// the cache is bypassed (reads fall back to the device) and the restarted
-// generation begins cold, so no stale block can ever be served.
-func (s *System) AttachCachedSupervised(v *VM, part Partition, cp CacheParams, pol SupervisePolicy) (*AttachedDisk, *Supervisor) {
-	sol := stack.NewNVMetro(s.Host).WithCache(cp).WithSupervision(pol)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}, sol.SupervisorFor(v)
-}
-
-// AttachReplicatedSupervised is AttachReplicated under UIF supervision: on
-// failure writes continue primary-only with dirty-region tracking and the
-// mirror resynchronizes after the restart.
-func (s *System) AttachReplicatedSupervised(v *VM, part Partition, remote *RemoteHost, pol SupervisePolicy) (*AttachedDisk, *Supervisor) {
-	sol := stack.NewNVMetro(s.Host).WithReplication(remote.Secondary()).WithSupervision(pol)
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk}, sol.SupervisorFor(v)
-}
 
 // DefaultScrubConfig returns the calibrated background-scrub policy.
 func DefaultScrubConfig() ScrubConfig { return integrity.DefaultScrubConfig() }
@@ -345,90 +322,16 @@ func NewCorruptingStore(inner Store, plan *FaultPlan, site string, blockSize uin
 	return integrity.NewCorruptingStore(inner, plan, site, blockSize, blocks)
 }
 
-// ProtectedDisk bundles an integrity-protected attachment's handles: the
-// disk plus its protection-info domain, background scrubber and (for
-// replicated attachments) the resync engine.
-type ProtectedDisk struct {
-	*AttachedDisk
-	Scrubber *Scrubber
-	Domain   *IntegrityDomain
-	Resyncer *Resyncer // nil without replication
-}
-
-// AttachProtected provisions an NVMetro disk with end-to-end block
-// protection info: writes are stamped at the mediation point, reads are
-// verified at every trust boundary, and the returned Scrubber cross-
-// checks stored content in the background, quarantining damage it cannot
-// repair (no replica to repair from).
-func (s *System) AttachProtected(v *VM, part Partition, cfg ScrubConfig) *ProtectedDisk {
-	sol := stack.NewNVMetro(s.Host).WithIntegrity(cfg)
-	disk := sol.Provision(v, part)
-	return &ProtectedDisk{
-		AttachedDisk: &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)},
-		Scrubber:     sol.ScrubberFor(v),
-		Domain:       sol.IntegrityDomainFor(v),
-	}
-}
-
-// AttachReplicatedProtected is AttachProtected over the live-replication
-// storage function: the scrubber additionally cross-checks primary
-// against replica and repairs damaged primary blocks from the in-sync
-// mirror via targeted resync.
-func (s *System) AttachReplicatedProtected(v *VM, part Partition, remote *RemoteHost, cfg ScrubConfig) *ProtectedDisk {
-	sol := stack.NewNVMetro(s.Host).WithReplication(remote.Secondary()).WithIntegrity(cfg)
-	disk := sol.Provision(v, part)
-	return &ProtectedDisk{
-		AttachedDisk: &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)},
-		Scrubber:     sol.ScrubberFor(v),
-		Domain:       sol.IntegrityDomainFor(v),
-		Resyncer:     sol.ResyncerFor(v),
-	}
-}
-
 // NewGoldenImage creates an empty golden image of blocks logical blocks on
 // the host device's block size. cacheChunks > 0 fronts the shared chunk
 // index with a content-addressed cache (one cache line per unique chunk,
-// shared by every clone). Load content through Image.Master(), then Seal.
+// shared by every clone). Load content through Image.Master(), then Seal;
+// attach a tenant with sys.Attach(sol, v, img.Clone()).
 func (s *System) NewGoldenImage(blocks, cacheChunks uint64) *GoldenImage {
 	return stack.NewGoldenImage(s.Host, blocks, cacheChunks)
 }
 
-// ClonedDisk bundles one tenant's clone: the attached disk plus the CoW
-// store backing its private namespace.
-type ClonedDisk struct {
-	*AttachedDisk
-	Store *CowStore
-}
-
-// AttachCloned clones the golden image onto a fresh device namespace and
-// provisions v over it with an NVMetro controller. The clone copies no
-// data: reads resolve through the image's shared layer chain (and shared
-// content cache, when configured), and the tenant's first write to any
-// chunk breaks exactly that chunk private.
-func (s *System) AttachCloned(v *VM, img *GoldenImage) *ClonedDisk {
-	sol := stack.NewNVMetro(s.Host).WithSnapshots(img)
-	disk := sol.CloneFrom(v)
-	return &ClonedDisk{
-		AttachedDisk: &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)},
-		Store:        sol.CloneStoreFor(v),
-	}
-}
-
-// AttachClonedProtected is AttachCloned with end-to-end protection info:
-// stamps and guards are per-clone (each clone has its own domain and
-// quarantine set, so one tenant's damage never leaks into another's view),
-// and PI generations survive CoW breaks because the break happens below
-// the stamped guest boundary.
-func (s *System) AttachClonedProtected(v *VM, img *GoldenImage, cfg ScrubConfig) (*ClonedDisk, *IntegrityDomain) {
-	sol := stack.NewNVMetro(s.Host).WithSnapshots(img).WithIntegrity(cfg)
-	disk := sol.CloneFrom(v)
-	return &ClonedDisk{
-		AttachedDisk: &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)},
-		Store:        sol.CloneStoreFor(v),
-	}, sol.IntegrityDomainFor(v)
-}
-
-// Baseline names accepted by AttachBaseline.
+// Baseline names accepted by Baseline.
 const (
 	BaselineMDev        = "mdev"
 	BaselinePassthrough = "passthrough"
@@ -437,52 +340,26 @@ const (
 	BaselineSPDK        = "spdk"
 )
 
-// AttachBaseline provisions one of the paper's comparison stacks.
-func (s *System) AttachBaseline(name string, v *VM, part Partition) (*AttachedDisk, error) {
-	var sol stack.Solution
+// Baseline returns one of the paper's comparison stacks by name.
+func (s *System) Baseline(name string) (Solution, error) {
 	switch name {
 	case BaselineMDev:
-		sol = stack.NewMDev(s.Host)
+		return stack.NewMDev(s.Host), nil
 	case BaselinePassthrough:
-		sol = stack.NewPassthrough(s.Host)
+		return stack.NewPassthrough(s.Host), nil
 	case BaselineQEMU:
-		sol = stack.NewQEMU(s.Host)
+		return stack.NewQEMU(s.Host), nil
 	case BaselineVhostSCSI:
-		sol = stack.NewVhostSCSI(s.Host)
+		return stack.NewVhostSCSI(s.Host), nil
 	case BaselineSPDK:
-		sol = stack.NewSPDK(s.Host)
-	default:
-		return nil, fmt.Errorf("nvmetro: unknown baseline %q", name)
+		return stack.NewSPDK(s.Host), nil
 	}
-	return &AttachedDisk{VM: v, Disk: sol.Provision(v, part)}, nil
-}
-
-// NewNVMetroShared creates a shared-worker NVMetro solution: one router
-// with the given worker count serving every VM provisioned through it. Use
-// AttachShared to provision disks, and WithQoS on the returned handle to
-// arbitrate the shared worker between tenants.
-func (s *System) NewNVMetroShared(workers int) *SharedNVMetro {
-	return stack.NewNVMetroShared(s.Host, workers)
-}
-
-// AttachShared provisions an NVMetro disk for v on the given shared
-// solution.
-func (s *System) AttachShared(sol *SharedNVMetro, v *VM, part Partition) *AttachedDisk {
-	disk := sol.Provision(v, part)
-	return &AttachedDisk{VM: v, Disk: disk, Ctrl: sol.ControllerFor(v)}
-}
-
-// NewNVMetroSharded creates the per-core sharded NVMetro solution: a fleet
-// of dispatch shards (one host thread each) with least-loaded tenant
-// placement and adaptive path promotion enabled. Provision disks with
-// AttachShared; inspect the fleet through the handle's Fleet method.
-func (s *System) NewNVMetroSharded(shards int) *SharedNVMetro {
-	return stack.NewNVMetroSharded(s.Host, shards)
+	return nil, fmt.Errorf("nvmetro: unknown baseline %q", name)
 }
 
 // AddNamespace creates a fresh namespace of the given size (in device
 // blocks) on the device under test and returns a partition covering it.
-// Per-tenant whole namespaces are the sharded fleet's promotable layout:
+// Per-tenant whole namespaces are the sharded router's promotable layout:
 // they keep the default, statically-provable fast-path classifier.
 func (s *System) AddNamespace(blocks uint64) Partition {
 	dev := s.Host.Dev
