@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt bench bench-sim bench-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke api-smoke
+.PHONY: check build vet test fmt bench bench-sim bench-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke api-smoke perfbench-smoke
 
 # check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
 # (fails listing the offending files), the short-seed chaos suite, the
@@ -50,6 +50,24 @@ bench-smoke:
 sim-smoke:
 	$(GO) test -race -timeout 30m ./internal/sim/... ./internal/harness/...
 	$(GO) test -run 'TestGoldenCSVs|TestShardedMatchesSerial|TestParallelMatchesSerial' ./internal/harness/
+
+# perfbench-smoke builds, vets and tests the benchmark program (perfbench/ is
+# its own Go module, so the root `go test ./...` never compiles it), then
+# pins its virtual time: each workload's seed-1 run must print the published
+# event-order digest.
+PERFBENCH_DIGESTS := poll-qd1=0904db97ba0f9fb6 fleet-rw=11da121b61fbd0e2 ycsb-enc=ae5a072eeff082ea
+
+perfbench-smoke:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+	for wd in $(PERFBENCH_DIGESTS); do \
+		w=$${wd%%=*}; want=$${wd#*=}; \
+		got=$$(python3 perfbench/run.py --workload $$w --seed 1 --seconds 1 --trace 0 | \
+			sed -n 's/^workload .*: digest \([0-9a-f]*\) .*/\1/p'); \
+		if [ "$$got" != "$$want" ]; then \
+			echo "perfbench $$w: digest '$$got', want $$want"; exit 1; \
+		fi; \
+		echo "perfbench $$w: digest $$got ok"; \
+	done
 
 # chaos-smoke runs the UIF supervision suite under the race detector: the
 # watchdog/reconcile unit tests, the per-function crash/wedge recovery

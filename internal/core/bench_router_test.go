@@ -36,7 +36,8 @@ func BenchmarkShardDispatch(b *testing.B) {
 }
 
 // benchReads issues b.N sequential 4 KiB reads, alternating over the given
-// VMs, and fails the benchmark if any read fails or the run stalls.
+// VMs, and fails the benchmark if any read fails or the run stalls. It
+// reports the DES events dispatched per read as events/op.
 func benchReads(b *testing.B, r *rig, vms []*vm.VM, disks []*vm.NVMeDisk) {
 	bases := make([]uint64, len(vms))
 	pages := make([][]uint64, len(vms))
@@ -48,8 +49,10 @@ func benchReads(b *testing.B, r *rig, vms []*vm.VM, disks []*vm.NVMeDisk) {
 		bases[i], pages[i] = base, pg
 	}
 	done := false
+	var events uint64
 	r.env.Go("bench", func(p *sim.Proc) {
 		b.ResetTimer()
+		events = r.env.Dispatched()
 		for i := 0; i < b.N; i++ {
 			t := i % len(vms)
 			req := &vm.Req{Op: vm.OpRead, LBA: uint64(i%1024) * 8, Blocks: 8, Buf: bases[t], BufPages: pages[t]}
@@ -58,6 +61,7 @@ func benchReads(b *testing.B, r *rig, vms []*vm.VM, disks []*vm.NVMeDisk) {
 			}
 		}
 		b.StopTimer()
+		events = r.env.Dispatched() - events
 		done = true
 		r.env.Stop()
 	})
@@ -65,4 +69,5 @@ func benchReads(b *testing.B, r *rig, vms []*vm.VM, disks []*vm.NVMeDisk) {
 	if !done {
 		b.Fatal("benchmark did not finish")
 	}
+	b.ReportMetric(float64(events)/float64(b.N), "events/op")
 }

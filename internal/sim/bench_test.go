@@ -115,13 +115,14 @@ func BenchmarkSameInstantStorm(b *testing.B) {
 	env.Run()
 }
 
-// BenchmarkFarTimers pushes timers beyond the wheel window so every event
-// takes the overflow-heap path and migrates into the wheel as time advances.
+// BenchmarkFarTimers is the single-process timer path with a device-scale
+// delay: every Sleep pushes one event 120 us ahead into the heap and
+// promotes it into the same-instant batch when it comes due.
 func BenchmarkFarTimers(b *testing.B) {
 	env := New(1)
 	env.Go("p", func(p *Proc) {
 		for i := 0; i < b.N; i++ {
-			p.Sleep(120 * Microsecond) // beyond the 16 us near-future window
+			p.Sleep(120 * Microsecond)
 		}
 	})
 	b.ReportAllocs()

@@ -1,41 +1,15 @@
 package sim
 
-import (
-	"math/bits"
-	"slices"
-)
-
-// The event queue is the scheduler's hot data structure. The seed
-// implementation was a container/heap of *event: one heap allocation per
-// scheduled event, interface boxing on every push/pop, and O(log n)
-// comparisons per operation. This version stores events by value in three
-// tiers, ordered strictly by (t, seq) exactly like the old heap:
-//
-//   - cur: the same-instant batch — every queued event at exactly the
-//     current virtual time, in seq (push) order. Dispatch is a pointer bump.
-//   - wheel: near-future buckets of 64 ns covering a ~131 us window from
-//     the window base — wide enough that device-latency timers (tens of
-//     microseconds) file straight into a bucket instead of staging through
-//     the overflow heap. A bucket is sorted once, when it becomes the
-//     active bucket ("slot"); pushes that land below the active bucket's
-//     end are merged into the slot by binary insertion.
-//   - over: a value-based 4-ary min-heap for everything beyond the window.
-//     When the wheel drains, the window is rebased at the heap's minimum and
-//     the near span migrates into the buckets (each event migrates at most
-//     once).
-//
-// All backing arrays are reused across batches, so steady-state push/pop
-// performs no allocations. Cancelled timers and wakes for finished
-// processes are deleted lazily: they are counted in dead and skipped at
-// dispatch, and the tiers are compacted in place when dead events exceed
-// half the queue.
-const (
-	slotBits  = 6                           // 64 ns per near-future bucket
-	slotGrain = Time(1) << slotBits         // bucket width
-	wheelBits = 11                          // 2048 buckets
-	wheelSize = 1 << wheelBits              // bucket count
-	wheelSpan = Time(wheelSize) << slotBits // ~131 us near-future window
-)
+// The event queue holds events by value in the strict (t, seq) order of the
+// seed container/heap scheduler. cur is the same-instant batch: every event
+// at exactly the current time, in seq order (a push at the current time
+// appends; dispatch bumps curHead). h is a 4-ary min-heap of everything
+// later. When cur drains, the heap's whole run at its minimum time moves
+// into cur; seq grows monotonically, so later same-instant appends stay in
+// order. Backing arrays are reused, so steady-state push/pop does not
+// allocate. Cancelled timers and wakes for finished processes are deleted
+// lazily: counted in dead, skipped at dispatch, and compacted away once they
+// exceed half the queue.
 
 type event struct {
 	t   Time
@@ -57,181 +31,58 @@ func less(a, b event) bool {
 }
 
 type queue struct {
-	cur      []event // events at exactly the current instant, dispatch order
-	curHead  int
-	slot     []event // sorted (t, seq) events below slotEnd (active bucket)
-	slotHead int
-	slotEnd  Time // exclusive upper bound of the active slot's coverage
-
-	winBase   Time // window start, multiple of slotGrain
-	bucketIdx int  // next bucket index to scan (buckets below are empty)
-	wheelN    int  // events currently held in buckets
-	buckets   [wheelSize][]event
-	occ       [wheelSize / 64]uint64 // bucket occupancy bitmap
-
-	over overflowHeap // t >= winBase+wheelSpan
+	cur     []event // events at exactly the current instant, dispatch order
+	curHead int
+	h       eventHeap // events after the current instant
 
 	size int // total queued events, including dead ones
-	dead int // lazily-cancelled events still occupying a tier
+	dead int // lazily-cancelled events still queued
 }
 
-// push files ev into the tier matching its timestamp. now is the current
-// virtual time; ev.t >= now has already been checked by the caller.
+// push queues ev. now is the current virtual time; ev.t >= now has already
+// been checked by the caller.
 func (q *queue) push(now Time, ev event) {
 	q.size++
-	switch {
-	case ev.t == now:
+	if ev.t == now {
 		q.cur = append(q.cur, ev)
-	case ev.t < q.slotEnd:
-		q.slotInsert(ev)
-	case ev.t < q.winBase+wheelSpan:
-		i := int((ev.t - q.winBase) >> slotBits)
-		if len(q.buckets[i]) == 0 {
-			q.occ[i>>6] |= 1 << uint(i&63)
-		}
-		q.buckets[i] = append(q.buckets[i], ev)
-		q.wheelN++
-	default:
-		q.over.push(ev)
+		return
 	}
-}
-
-// slotInsert merges ev into the sorted active slot by binary insertion.
-// Only the unconsumed tail (from slotHead) is searched; ev sorts after
-// everything already dispatched because its time is in the future.
-func (q *queue) slotInsert(ev event) {
-	s := q.slot
-	lo, hi := q.slotHead, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if less(s[mid], ev) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	q.slot = append(q.slot, event{})
-	copy(q.slot[lo+1:], q.slot[lo:])
-	q.slot[lo] = ev
+	q.h.push(ev)
 }
 
 // next consumes and returns the earliest event if its time is <= limit.
 func (q *queue) next(limit Time) (event, bool) {
-	for {
-		if q.curHead < len(q.cur) {
-			ev := q.cur[q.curHead]
-			if ev.t > limit {
-				return event{}, false
-			}
-			q.cur[q.curHead] = event{} // release fn/tok references
-			q.curHead++
-			if q.curHead == len(q.cur) {
-				// Reset eagerly so a same-instant push/pop chain (ping-pong
-				// at one timestamp) reuses the batch buffer instead of
-				// growing it without bound.
-				q.cur = q.cur[:0]
-				q.curHead = 0
-			}
-			q.size--
-			return ev, true
-		}
+	if q.curHead == len(q.cur) && !q.promote(limit) {
+		return event{}, false
+	}
+	ev := q.cur[q.curHead]
+	if ev.t > limit {
+		return event{}, false
+	}
+	q.cur[q.curHead] = event{} // release fn/tok references
+	q.curHead++
+	if q.curHead == len(q.cur) {
+		// Reset eagerly so a same-instant push/pop chain (ping-pong at one
+		// timestamp) reuses the batch buffer instead of growing it.
 		q.cur = q.cur[:0]
 		q.curHead = 0
-		if !q.promote(limit) {
-			return event{}, false
-		}
 	}
+	q.size--
+	return ev, true
 }
 
-// promote refills cur with the next instant's batch: the maximal run of
-// equal-time events at the queue's minimum, in seq order. It reports false
-// when the queue is empty or the next event lies beyond limit.
+// promote refills the empty cur with the next instant's batch: the run of
+// equal-time events at the heap's minimum, popped in seq order. It reports
+// false when the queue is empty or the next event lies beyond limit.
 func (q *queue) promote(limit Time) bool {
-	for q.slotHead >= len(q.slot) {
-		q.slot = q.slot[:0]
-		q.slotHead = 0
-		switch {
-		case q.wheelN > 0:
-			i := q.nextOccupied(q.bucketIdx)
-			if i < 0 {
-				panic("sim: wheel occupancy corrupt")
-			}
-			b := q.buckets[i]
-			q.slot = append(q.slot, b...)
-			for j := range b {
-				b[j] = event{}
-			}
-			q.buckets[i] = b[:0]
-			q.occ[i>>6] &^= 1 << uint(i&63)
-			q.wheelN -= len(q.slot)
-			q.bucketIdx = i + 1
-			q.slotEnd = q.winBase + Time(i+1)<<slotBits
-			sortEvents(q.slot)
-		case q.over.len() > 0:
-			// Rebase the window at the overflow minimum and migrate the
-			// near span into the buckets.
-			q.winBase = q.over.min().t &^ (slotGrain - 1)
-			q.bucketIdx = 0
-			q.slotEnd = q.winBase
-			end := q.winBase + wheelSpan
-			for q.over.len() > 0 && q.over.min().t < end {
-				ev := q.over.pop()
-				i := int((ev.t - q.winBase) >> slotBits)
-				if len(q.buckets[i]) == 0 {
-					q.occ[i>>6] |= 1 << uint(i&63)
-				}
-				q.buckets[i] = append(q.buckets[i], ev)
-				q.wheelN++
-			}
-		default:
-			return false
-		}
-	}
-	t := q.slot[q.slotHead].t
-	if t > limit {
+	if len(q.h) == 0 || q.h[0].t > limit {
 		return false
 	}
-	for q.slotHead < len(q.slot) && q.slot[q.slotHead].t == t {
-		q.cur = append(q.cur, q.slot[q.slotHead])
-		q.slot[q.slotHead] = event{}
-		q.slotHead++
+	t := q.h[0].t
+	for len(q.h) > 0 && q.h[0].t == t {
+		q.cur = append(q.cur, q.h.pop())
 	}
 	return true
-}
-
-// nextOccupied returns the first occupied bucket index at or after from,
-// or -1.
-func (q *queue) nextOccupied(from int) int {
-	if from >= wheelSize {
-		return -1
-	}
-	w := from >> 6
-	b := q.occ[w] &^ (1<<uint(from&63) - 1)
-	for {
-		if b != 0 {
-			return w<<6 + bits.TrailingZeros64(b)
-		}
-		w++
-		if w >= len(q.occ) {
-			return -1
-		}
-		b = q.occ[w]
-	}
-}
-
-func sortEvents(s []event) {
-	slices.SortFunc(s, func(a, b event) int {
-		if a.t != b.t {
-			if a.t < b.t {
-				return -1
-			}
-			return 1
-		}
-		if a.seq < b.seq {
-			return -1
-		}
-		return 1
-	})
 }
 
 // deadEvent reports whether ev was lazily cancelled: a timeout whose token
@@ -243,8 +94,8 @@ func deadEvent(ev event) bool {
 	return ev.fn == nil && ev.tok == nil && ev.p != nil && ev.p.done
 }
 
-// compact removes lazily-deleted events from every tier in place,
-// preserving order. Called when dead events exceed half the queue.
+// compact removes lazily-deleted events in place: cur keeps its order and
+// the heap is rebuilt. Called when dead events exceed half the queue.
 func (q *queue) compact() {
 	filter := func(s []event, head int) []event {
 		w := head
@@ -254,27 +105,13 @@ func (q *queue) compact() {
 				w++
 			}
 		}
-		for z := w; z < len(s); z++ {
-			s[z] = event{}
-		}
+		clear(s[w:])
 		return s[:w]
 	}
 	q.cur = filter(q.cur, q.curHead)
-	q.slot = filter(q.slot, q.slotHead)
-	q.wheelN = 0
-	for i := range q.buckets {
-		if len(q.buckets[i]) == 0 {
-			continue
-		}
-		q.buckets[i] = filter(q.buckets[i], 0)
-		if len(q.buckets[i]) == 0 {
-			q.occ[i>>6] &^= 1 << uint(i&63)
-		}
-		q.wheelN += len(q.buckets[i])
-	}
-	q.over = overflowHeap(filter([]event(q.over), 0))
-	q.over.init()
-	q.size = (len(q.cur) - q.curHead) + (len(q.slot) - q.slotHead) + q.wheelN + q.over.len()
+	q.h = filter(q.h, 0)
+	q.h.init()
+	q.size = len(q.cur) - q.curHead + len(q.h)
 	q.dead = 0
 }
 
@@ -283,68 +120,67 @@ func (q *queue) clear() {
 	*q = queue{}
 }
 
-// overflowHeap is a value-based 4-ary min-heap ordered by (t, seq). Four
+// eventHeap is a value-based 4-ary min-heap ordered by (t, seq). Four
 // children per node halve the tree depth of a binary heap and keep sift
 // loops within one or two cache lines of events.
-type overflowHeap []event
+type eventHeap []event
 
-func (h overflowHeap) len() int   { return len(h) }
-func (h overflowHeap) min() event { return h[0] }
-
-func (h *overflowHeap) push(ev event) {
+func (h *eventHeap) push(ev event) {
 	s := append(*h, ev)
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) >> 2
-		if !less(s[i], s[parent]) {
+		if !less(ev, s[parent]) {
 			break
 		}
-		s[i], s[parent] = s[parent], s[i]
+		s[i] = s[parent]
 		i = parent
 	}
+	s[i] = ev
 	*h = s
 }
 
-func (h *overflowHeap) pop() event {
+func (h *eventHeap) pop() event {
 	s := *h
 	top := s[0]
 	n := len(s) - 1
-	s[0] = s[n]
+	last := s[n]
 	s[n] = event{}
 	s = s[:n]
 	*h = s
-	s.siftDown(0)
+	if n > 0 {
+		s.siftDown(0, last)
+	}
 	return top
 }
 
-func (h overflowHeap) siftDown(i int) {
+// siftDown places ev at hole i or below, moving smaller children up.
+func (h eventHeap) siftDown(i int, ev event) {
 	n := len(h)
 	for {
 		c := i<<2 + 1
 		if c >= n {
-			return
+			break
 		}
 		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
+		end := min(c+4, n)
 		for k := c + 1; k < end; k++ {
 			if less(h[k], h[m]) {
 				m = k
 			}
 		}
-		if !less(h[m], h[i]) {
-			return
+		if !less(h[m], ev) {
+			break
 		}
-		h[i], h[m] = h[m], h[i]
+		h[i] = h[m]
 		i = m
 	}
+	h[i] = ev
 }
 
 // init re-establishes the heap property after bulk edits (compaction).
-func (h overflowHeap) init() {
+func (h eventHeap) init() {
 	for i := (len(h) - 2) >> 2; i >= 0; i-- {
-		h.siftDown(i)
+		h.siftDown(i, h[i])
 	}
 }

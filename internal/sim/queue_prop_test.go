@@ -7,8 +7,8 @@ import (
 )
 
 // refHeap is the seed implementation's event queue: a container/heap ordered
-// by (t, seq). The property tests drive it in lockstep with the tiered queue
-// and require identical dispatch order, including RunUntil limit boundaries.
+// by (t, seq). The property tests drive it in lockstep with the queue and
+// require identical dispatch order, including RunUntil limit boundaries.
 type refHeap []event
 
 func (h refHeap) Len() int           { return len(h) }
@@ -53,10 +53,14 @@ func popBoth(t *testing.T, q *queue, ref *refHeap, now *Time, limit Time) bool {
 	return true
 }
 
+// propSpan is the near-future span (131072 ns) the random timestamps are
+// drawn against. Its value is fixed so the generated inputs never change.
+const propSpan = Time(131072)
+
 // TestQueueMatchesHeapRandom drives random interleaved pushes and pops
-// through both implementations. Timestamps are drawn from mixed scales so
-// events land in every tier: the same-instant batch, the active slot, the
-// wheel buckets, and the overflow heap.
+// through both implementations. Timestamps are drawn from mixed scales:
+// same-instant pushes into the current batch, near-equal times that collide
+// in the heap, and far timers many heap levels deep.
 func TestQueueMatchesHeapRandom(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -70,18 +74,18 @@ func TestQueueMatchesHeapRandom(t *testing.T) {
 			q.push(now, ev)
 			heap.Push(&ref, ev)
 		}
-		// Offsets spanning same-instant (0), slot/wheel range, and far
-		// overflow; weighted toward the near tiers where ordering is subtle.
+		// Offsets spanning same-instant (0), a near span and far timers;
+		// weighted toward near and equal times where ordering is subtle.
 		randDT := func() Time {
 			switch rng.Intn(10) {
 			case 0, 1, 2:
 				return 0
 			case 3, 4, 5:
-				return Time(rng.Intn(64)) // within one bucket grain
+				return Time(rng.Intn(64)) // dense near-equal times
 			case 6, 7:
-				return Time(rng.Intn(int(wheelSpan)))
+				return Time(rng.Intn(int(propSpan)))
 			case 8:
-				return wheelSpan + Time(rng.Intn(1<<20))
+				return propSpan + Time(rng.Intn(1<<20))
 			default:
 				return Time(rng.Intn(1 << 40))
 			}
@@ -146,7 +150,7 @@ func TestQueueMatchesHeapLimitBoundaries(t *testing.T) {
 	var seq uint64
 	var stamps []Time
 	for i := 0; i < 500; i++ {
-		dt := Time(rng.Intn(int(wheelSpan) * 2))
+		dt := Time(rng.Intn(int(propSpan) * 2))
 		ev := event{t: dt, seq: seq}
 		seq++
 		q.push(0, ev)

@@ -9,14 +9,14 @@
 // sim primitives (Sleep, Cond, Resource, events), which makes simulations
 // deterministic given a seed and free of data races by construction.
 //
-// The scheduler is built for throughput: events live by value in a tiered
-// timer wheel (see queue.go), so Sleep/At/After are allocation-free in
-// steady state; same-instant callback batches dispatch in a tight loop
-// without touching the run token; and the run token travels directly from
-// the yielding process to the next runnable one — a single channel
-// rendezvous per switch, or none at all when a process's own timer is the
-// next event. Event dispatch order is the exact (t, seq) total order of the
-// original heap scheduler, so traces are bit-identical.
+// The scheduler is built for throughput: events live by value in one 4-ary
+// min-heap plus a same-instant batch (see queue.go), so Sleep/At/After are
+// allocation-free in steady state; same-instant callback batches dispatch in
+// a tight loop without touching the run token; and the run token travels
+// directly from the yielding process to the next runnable one — a single
+// channel rendezvous per switch, or none at all when a process's own timer
+// is the next event. Event dispatch order is the exact (t, seq) total order
+// of the original heap scheduler, so traces are bit-identical.
 package sim
 
 import (
@@ -74,15 +74,16 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 // environment is closed. Process bodies should not recover from it.
 var ErrStopped = errors.New("sim: environment closed")
 
-// Env is a simulation environment: a virtual clock plus a tiered event
-// queue. It is not safe for concurrent use from multiple OS threads; all
-// access must come from the goroutine currently holding the run token (the
-// Run caller or the running simulated process).
+// Env is a simulation environment: a virtual clock plus an event queue. It
+// is not safe for concurrent use from multiple OS threads; all access must
+// come from the goroutine currently holding the run token (the Run caller
+// or the running simulated process).
 type Env struct {
 	now   Time
 	seq   uint64
 	q     queue
-	limit Time // dispatch bound of the run in progress
+	limit Time   // dispatch bound of the run in progress
+	nev   uint64 // events dispatched (see Dispatched)
 
 	idle      chan struct{} // hands the run token back to Run/Close
 	cur       *Proc
@@ -127,6 +128,12 @@ func (e *Env) QueueLen() int { return e.q.size }
 // timeouts and wakes for finished processes. They are skipped at dispatch
 // and compacted away once they exceed half the queue.
 func (e *Env) QueueDead() int { return e.q.dead }
+
+// Dispatched reports the number of events popped from the queue so far:
+// process wakes, callbacks and timer firings, including the lazily-cancelled
+// ones that are skipped at dispatch. Divided by completed operations it is
+// the simulator's event cost per op.
+func (e *Env) Dispatched() uint64 { return e.nev }
 
 func (e *Env) push(t Time, p *Proc, fn func()) {
 	if t < e.now {
@@ -425,6 +432,7 @@ func (e *Env) dispatch() *Proc {
 		if !ok {
 			return nil
 		}
+		e.nev++
 		e.now = ev.t
 		if ev.fn != nil {
 			ev.fn()

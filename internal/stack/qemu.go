@@ -209,7 +209,8 @@ func (q *qemuVM) iothread(p *sim.Proc, it *qemuIOThread) {
 				}
 				r, err := virtio.ParseChain(vq, head)
 				if err != nil {
-					panic(err)
+					virtio.Reject(vq, head, q.irqs[vq])
+					continue
 				}
 				t, sector := r.BlkHeader(vq)
 				batch = append(batch, r)

@@ -135,7 +135,8 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 					did = true
 					r, err := virtio.ParseChain(vq, head)
 					if err != nil {
-						panic(err)
+						virtio.Reject(vq, head, sess.irqs[vq])
+						continue
 					}
 					th.Exec(p, par.SPDKParse+par.SPDKNVMe)
 					s.submit(sess, qi, vq, r)

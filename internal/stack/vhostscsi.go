@@ -148,7 +148,8 @@ func (w *vhostVM) worker(p *sim.Proc, th *sim.Thread) {
 				did = true
 				r, err := virtio.ParseChain(vq, head)
 				if err != nil {
-					panic(err)
+					virtio.Reject(vq, head, w.irqs[vq])
+					continue
 				}
 				th.Exec(p, par.VhostParse)
 				cmd, err := virtio.ParseSCSICDB(vq.Mem, r.HdrAddr)

@@ -34,6 +34,18 @@ func ParseChain(q *Queue, head uint16) (DeviceReq, error) {
 	return r, nil
 }
 
+// Reject hands a chain that failed to parse back to the driver unprocessed:
+// the head returns on the used ring with length 0, is counted in
+// q.Rejected, and irq (if non-nil) notifies the driver. Backends call it
+// instead of failing on guest-written descriptors.
+func Reject(q *Queue, head uint16, irq func()) {
+	q.Ring.PushUsed(head, 0)
+	q.Rejected++
+	if irq != nil {
+		irq()
+	}
+}
+
 // BlkHeader decodes the virtio-blk header (type + sector).
 func (r *DeviceReq) BlkHeader(q *Queue) (reqType uint32, sector uint64) {
 	var hdr [16]byte

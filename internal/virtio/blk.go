@@ -25,6 +25,10 @@ type Queue struct {
 	VMID  int
 	Ring  *Vring
 	Mem   *guestmem.Memory
+
+	// Rejected counts malformed chains the backend returned unprocessed
+	// (see Reject).
+	Rejected uint64
 }
 
 // Transport is how the driver reaches its backend: notification (kick) and
@@ -147,7 +151,7 @@ func (d *driverBase) irqLoop(p *sim.Proc, st *queueState) {
 			st.vcpu.Exec(p, d.costs.Complete)
 			si, ok := st.byHead[head]
 			if !ok {
-				panic("virtio: used element for unknown head")
+				continue // a chain this driver never published
 			}
 			delete(st.byHead, head)
 			s := &st.slots[si]

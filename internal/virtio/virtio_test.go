@@ -193,3 +193,22 @@ func TestParseChainAndData(t *testing.T) {
 		t.Fatal("used")
 	}
 }
+
+// TestReadChainRejectsBadIndices: head and Next indices are guest-written,
+// so an index outside the descriptor table must be refused rather than
+// read past the table.
+func TestReadChainRejectsBadIndices(t *testing.T) {
+	v, _ := newRing(16)
+	if _, err := v.ReadChain(v.Size()); err == nil {
+		t.Fatal("head past the table accepted")
+	}
+	head, _ := v.AddChain([]Buffer{{Addr: 0x100, Len: 16}, {Addr: 0x200, Len: 1, DevWrit: true}})
+	v.WriteDesc(head, Desc{Addr: 0x100, Len: 16, Flags: DescNext, Next: 0xffff})
+	if _, err := v.ReadChain(head); err == nil {
+		t.Fatal("Next past the table accepted")
+	}
+	v.WriteDesc(head, Desc{Addr: 0x100, Len: 16, Flags: DescNext, Next: head})
+	if _, err := v.ReadChain(head); err == nil {
+		t.Fatal("looping chain accepted")
+	}
+}

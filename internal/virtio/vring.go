@@ -92,7 +92,9 @@ func (v *Vring) writeU16(addr uint64, x uint16) {
 	v.mem.WriteAt(b[:], addr)
 }
 
-func (v *Vring) writeDesc(i uint16, d Desc) {
+// WriteDesc stores descriptor i of the table (driver side). The device
+// side must treat whatever a driver wrote there as untrusted.
+func (v *Vring) WriteDesc(i uint16, d Desc) {
 	var b [descSize]byte
 	binary.LittleEndian.PutUint64(b[0:8], d.Addr)
 	binary.LittleEndian.PutUint32(b[8:12], d.Len)
@@ -139,7 +141,7 @@ func (v *Vring) AddChain(bufs []Buffer) (uint16, bool) {
 			d.Flags |= DescNext
 			d.Next = idxs[i+1]
 		}
-		v.writeDesc(idxs[i], d)
+		v.WriteDesc(idxs[i], d)
 	}
 	// Publish in the avail ring.
 	slot := v.availAddr + 4 + uint64(v.availIdx%v.size)*2
@@ -171,11 +173,16 @@ func (v *Vring) AvailCount() uint16 {
 	return v.readU16(v.availAddr+2) - v.lastAvail
 }
 
-// ReadChain walks the descriptor chain from head (device side).
+// ReadChain walks the descriptor chain from head (device side). The head
+// and every Next index are guest-written, so an index outside the
+// descriptor table or a chain that loops is an error.
 func (v *Vring) ReadChain(head uint16) ([]Desc, error) {
 	var out []Desc
 	i := head
 	for n := 0; ; n++ {
+		if i >= v.size {
+			return nil, fmt.Errorf("virtio: descriptor index %d out of range (ring size %d)", i, v.size)
+		}
 		if n > int(v.size) {
 			return nil, fmt.Errorf("virtio: descriptor loop at %d", head)
 		}
