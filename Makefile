@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: check build vet test fmt bench bench-sim bench-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke api-smoke perfbench-smoke
+.PHONY: check build vet test fmt bench bench-sim bench-smoke sim-smoke chaos-smoke scrub-smoke bootstorm-smoke scale-smoke api-smoke perfbench-smoke recovery-smoke
 
 # check is the CI gate: build, vet, race-enabled tests, gofmt cleanliness
 # (fails listing the offending files), the short-seed chaos suite, the
@@ -92,6 +92,15 @@ scrub-smoke:
 scale-smoke:
 	$(GO) test -race ./internal/core/ ./internal/ebpf/
 	$(GO) test -race -run 'TestScale' ./internal/harness/
+
+# recovery-smoke runs the host-tag recovery suite: the shared tag table
+# and the kernel driver's deadline/retry/quarantine tests, the router's
+# reclaimed-tag and backpressure tests, all under the race detector; then
+# the fault experiment's golden CSV (byte-identical) without it.
+recovery-smoke:
+	$(GO) test -race ./internal/nvme/ ./internal/blockdev/
+	$(GO) test -race -run 'TestReclaimedHostTag|TestFastPathDeadline|Backpressure' ./internal/core/
+	$(GO) test -run 'TestGoldenCSVs/fault$$' ./internal/harness/
 
 # api-smoke runs the public entry points end to end at short durations:
 # every example program and every nvmetroctl subcommand.

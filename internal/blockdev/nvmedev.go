@@ -39,75 +39,39 @@ func (p *dmaPool) put(pages []uint64) {
 	p.free[len(pages)] = append(p.free[len(pages)], pages)
 }
 
-// Recovery is the host driver's error-recovery policy: a per-command
-// deadline with abort and bounded, exponentially backed-off resubmission —
-// the sim equivalent of the kernel's nvme_timeout/abort/reset ladder. A
-// timed-out CID is quarantined (not reused) until its late completion
-// arrives or the reclaim window expires, so stale completions cannot be
-// misattributed to a new command on the same tag.
-type Recovery struct {
-	Timeout    sim.Duration // per-command deadline (0 disables recovery)
-	MaxRetries int          // resubmissions after a timeout before failing the bio
-	Backoff    sim.Duration // first retry delay; doubles per attempt
-	Reclaim    sim.Duration // quarantine before a lost CID may be reused
-}
-
-// DefaultRecovery returns a conservative policy: a deadline far above any
-// loaded-device latency (bandwidth-bound sequential writes at QD512 can
-// legitimately queue for ~20 ms in the model), so it only ever fires on
-// genuinely lost completions. Fault experiments install tighter policies.
-func DefaultRecovery() Recovery {
-	return Recovery{
-		Timeout:    100 * sim.Millisecond,
-		MaxRetries: 3,
-		Backoff:    100 * sim.Microsecond,
-		Reclaim:    200 * sim.Millisecond,
-	}
-}
-
-// Validate rejects policies that would silently misbehave. A reclaim
-// window shorter than the command deadline is the dangerous one: a tag
-// could be recycled while its first attempt is still within deadline,
-// widening the misattribution window instead of bounding it.
-func (rec Recovery) Validate() error {
-	if rec.MaxRetries < 0 {
-		return fmt.Errorf("blockdev: negative MaxRetries %d", rec.MaxRetries)
-	}
-	if rec.Timeout < 0 || rec.Backoff < 0 || rec.Reclaim < 0 {
-		return fmt.Errorf("blockdev: negative recovery timer (timeout=%v backoff=%v reclaim=%v)",
-			rec.Timeout, rec.Backoff, rec.Reclaim)
-	}
-	if rec.Timeout > 0 && rec.Reclaim < rec.Timeout {
-		return fmt.Errorf("blockdev: reclaim window %v shorter than command deadline %v", rec.Reclaim, rec.Timeout)
-	}
-	return nil
-}
+// The host driver's error-recovery policy, the sim equivalent of the
+// kernel's nvme_timeout/abort/reset ladder. The deadline sits far above
+// any loaded-device latency (bandwidth-bound sequential writes at QD512
+// legitimately queue ~20 ms in the model), so it only fires on genuinely
+// lost completions. A timed-out CID stays quarantined for twice the
+// deadline (nvme.TagTable).
+const (
+	CommandTimeout = 100 * sim.Millisecond // per-command deadline
+	MaxRetries     = 3                     // resubmissions after a timeout before failing the bio
+	RetryBackoff   = 100 * sim.Microsecond // first retry delay; doubles per attempt
+)
 
 // NVMeBlockDev is the host NVMe driver's block device: bios are translated
 // to NVMe commands on a dedicated host queue pair, data is bounced through
 // kernel DMA buffers, and completions are handled in a simulated interrupt
 // context thread.
 type NVMeBlockDev struct {
-	env      *sim.Env
-	dev      *device.Device
-	nsid     uint32
-	part     device.Partition
-	costs    Costs
-	rec      Recovery
-	qp       *nvme.QueuePair
-	hostmem  *guestmem.Memory
-	pool     *dmaPool
-	irq      *sim.Thread
-	irqCond  *sim.Cond
-	inflight map[uint16]*pendingBio
-	freeCIDs []uint16
-	waitCID  *sim.Cond
-	shift    uint8
+	env     *sim.Env
+	dev     *device.Device
+	nsid    uint32
+	part    device.Partition
+	costs   Costs
+	qp      *nvme.QueuePair
+	hostmem *guestmem.Memory
+	pool    *dmaPool
+	irq     *sim.Thread
+	irqCond *sim.Cond
+	tags    *nvme.TagTable[*pendingBio]
+	waitCID *sim.Cond
+	shift   uint8
 
-	lost      map[uint16]lostCID // quarantined CIDs: timed out, completion pending
-	genSeq    uint32             // submission-generation sequence (stamped in CDW3)
-	retryQ    []*pendingBio
-	retryCond *sim.Cond
+	timer   *sim.Cond // wakes the deadline timer when push arms an earlier deadline
+	timerAt sim.Time  // when the deadline timer next wakes by itself; 0 while parked
 
 	// Stats
 	Submitted, Completed uint64
@@ -129,27 +93,12 @@ type ReadVerifier interface {
 	VerifySectors(sector uint64, data []byte) bool
 }
 
-// lostCID is one quarantined tag: the generation of the attempt that lost
-// it, and when the quarantine began.
-type lostCID struct {
-	gen   uint32
-	since sim.Time
-}
-
-// genDW is the otherwise-reserved command dword carrying the submission
-// generation; the device echoes it in the completion's DW0 result, which
-// is what lets the driver tell a reclaimed tag's late completion from its
-// new occupant's.
-const genDW = 3
-
 type pendingBio struct {
 	bio       *Bio
 	pages     []uint64
 	listPages []uint64
-	base      uint64
 	cmd       nvme.Command // retryable command image (CID rewritten per attempt)
 	attempts  int          // submissions so far
-	gen       uint32       // generation of the current attempt
 }
 
 // NewNVMeBlockDev creates the host block device over a partition of the
@@ -157,45 +106,27 @@ type pendingBio struct {
 func NewNVMeBlockDev(env *sim.Env, part device.Partition, cpu *sim.CPU, irqCore int, costs Costs) *NVMeBlockDev {
 	hostmem := guestmem.New(512 << 20)
 	d := &NVMeBlockDev{
-		env:      env,
-		dev:      part.Dev,
-		nsid:     part.NSID,
-		part:     part,
-		costs:    costs,
-		hostmem:  hostmem,
-		pool:     newDMAPool(hostmem),
-		irq:      cpu.ThreadOn(irqCore, "kernel/irq"),
-		irqCond:  sim.NewCond(env),
-		inflight: make(map[uint16]*pendingBio),
-		waitCID:  sim.NewCond(env),
-		shift:    part.Dev.Params().LBAShift,
+		env:     env,
+		dev:     part.Dev,
+		nsid:    part.NSID,
+		part:    part,
+		costs:   costs,
+		hostmem: hostmem,
+		pool:    newDMAPool(hostmem),
+		irq:     cpu.ThreadOn(irqCore, "kernel/irq"),
+		irqCond: sim.NewCond(env),
+		tags:    nvme.NewTagTable[*pendingBio](env, 1023, CommandTimeout),
+		waitCID: sim.NewCond(env),
+		shift:   part.Dev.Params().LBAShift,
 
-		rec:       DefaultRecovery(),
-		lost:      make(map[uint16]lostCID),
-		retryCond: sim.NewCond(env),
+		timer: sim.NewCond(env),
 	}
 	d.qp = part.Dev.CreateQueuePair(1024, hostmem)
-	for i := uint16(0); i < 1023; i++ {
-		d.freeCIDs = append(d.freeCIDs, i)
-	}
 	d.qp.CQ.OnPost = func() { d.irqCond.Signal(nil) }
 	env.Go(fmt.Sprintf("kernel/nvme-irq-ns%d", part.NSID), d.irqLoop)
-	env.Go(fmt.Sprintf("kernel/nvme-retry-ns%d", part.NSID), d.retryLoop)
+	env.Go(fmt.Sprintf("kernel/nvme-timer-ns%d", part.NSID), d.timerLoop)
 	return d
 }
-
-// SetRecovery replaces the error-recovery policy (before or between I/O).
-// Invalid policies are rejected and the previous policy stays active.
-func (d *NVMeBlockDev) SetRecovery(rec Recovery) error {
-	if err := rec.Validate(); err != nil {
-		return err
-	}
-	d.rec = rec
-	return nil
-}
-
-// Recovery returns the active error-recovery policy.
-func (d *NVMeBlockDev) Recovery() Recovery { return d.rec }
 
 // SetVerifier installs a protection-info verifier on the read completion
 // path (nil detaches). A read whose payload fails verification completes
@@ -218,41 +149,28 @@ func (d *NVMeBlockDev) lba(sector uint64) uint64 {
 // SubmitBio implements BlockDevice.
 func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 	thread.Exec(p, d.costs.Submit)
-	for len(d.freeCIDs) == 0 || d.qp.SQ.Full() {
-		d.waitCID.Wait()
-	}
-	cid := d.freeCIDs[len(d.freeCIDs)-1]
-	d.freeCIDs = d.freeCIDs[:len(d.freeCIDs)-1]
-
+	// The CID is assigned per attempt, in push.
 	pend := &pendingBio{bio: b}
 	var cmd nvme.Command
 	switch b.Op {
 	case BioFlush:
-		cmd = nvme.NewFlush(cid, d.nsid)
+		cmd = nvme.NewFlush(0, d.nsid)
 	case BioDiscard:
 		cmd.SetOpcode(nvme.OpDSM)
-		cmd.SetCID(cid)
 		cmd.SetNSID(d.nsid)
 		cmd.SetSLBA(d.lba(b.Sector))
 		cmd.SetNLB(uint16(uint64(b.NSect)*SectorSize>>d.shift - 1))
 	case BioRead, BioWrite:
 		npages := (len(b.Data) + guestmem.PageSize - 1) / guestmem.PageSize
 		pend.pages = d.pool.get(npages)
-		pend.base = pend.pages[0]
-		if b.Op == BioWrite {
-			// Copy data into the DMA buffer (kernel bounce).
-			for i, pg := range pend.pages {
-				off := i * guestmem.PageSize
-				end := off + guestmem.PageSize
-				if end > len(b.Data) {
-					end = len(b.Data)
-				}
-				d.hostmem.WriteAt(b.Data[off:end], pg)
-			}
-		}
 		op := nvme.OpRead
 		if b.Op == BioWrite {
 			op = nvme.OpWrite
+			// Copy data into the DMA buffer (kernel bounce).
+			for i, pg := range pend.pages {
+				off := i * guestmem.PageSize
+				d.hostmem.WriteAt(b.Data[off:min(off+guestmem.PageSize, len(b.Data))], pg)
+			}
 		}
 		blocks := uint32(len(b.Data)) >> d.shift
 		prp1, prp2, err := nvme.BuildPRP(d.hostmem, pend.pages, func() uint64 {
@@ -264,108 +182,81 @@ func (d *NVMeBlockDev) SubmitBio(p *sim.Proc, thread *sim.Thread, b *Bio) {
 			// A malformed transfer fails this one bio, not the whole sim.
 			d.PRPErrors++
 			d.releaseDMA(pend)
-			d.freeCIDs = append(d.freeCIDs, cid)
-			d.waitCID.Signal(nil)
 			if b.OnDone != nil {
 				b.OnDone(nvme.SCInternal)
 			}
 			return
 		}
-		cmd = nvme.NewRW(op, cid, d.nsid, d.lba(b.Sector), blocks, prp1, prp2)
+		cmd = nvme.NewRW(op, 0, d.nsid, d.lba(b.Sector), blocks, prp1, prp2)
 	}
 	pend.cmd = cmd
-	d.push(cid, pend)
+	d.push(pend)
 }
 
-// push installs pend under cid, submits its command and arms the deadline.
-// Every attempt is stamped with a fresh generation so the irq handler can
-// match completions to the attempt that earned them.
-func (d *NVMeBlockDev) push(cid uint16, pend *pendingBio) {
-	pend.attempts++
-	d.genSeq++
-	pend.gen = d.genSeq
-	pend.cmd.SetCDW(genDW, pend.gen)
-	pend.cmd.SetCID(cid)
-	d.inflight[cid] = pend
-	for !d.qp.SQ.Push(&pend.cmd) {
-		// SQ full despite the free-CID gate: back off and retry rather
-		// than panicking; the next completion drains the queue.
+// push waits for a free CID and SQ slot, installs pend under the CID and
+// submits its command; the tag table arms the deadline. Every attempt is
+// stamped with a fresh generation so the irq handler can match
+// completions to the attempt that earned them. Deadlines are uniform, so
+// the timer needs waking only while parked or waiting out a quarantine.
+func (d *NVMeBlockDev) push(pend *pendingBio) {
+	for d.tags.Free() == 0 || d.qp.SQ.Full() {
 		d.waitCID.Wait()
 	}
+	pend.attempts++
+	cid, gen, _ := d.tags.Acquire(pend)
+	pend.cmd.SetCID(cid)
+	pend.cmd.SetCDW(nvme.GenDW, gen)
+	d.qp.SQ.Push(&pend.cmd)
 	d.Submitted++
 	d.dev.Ring(d.qp.SQ.ID)
-	d.armDeadline(cid, pend)
-}
-
-// armDeadline schedules the timeout check for the current attempt.
-func (d *NVMeBlockDev) armDeadline(cid uint16, pend *pendingBio) {
-	if d.rec.Timeout <= 0 {
-		return
+	if due := d.env.Now().Add(CommandTimeout); d.timerAt == 0 || due < d.timerAt {
+		d.timer.Signal(nil)
 	}
-	attempt := pend.attempts
-	d.env.After(d.rec.Timeout, func() {
-		if d.inflight[cid] == pend && pend.attempts == attempt {
-			d.onTimeout(cid, pend)
-		}
-	})
 }
 
-// onTimeout aborts a command that missed its deadline: the CID is
-// quarantined against late completions and the command is either
-// resubmitted after exponential backoff or failed to the bio issuer.
-// Runs in scheduler callback context (non-blocking).
-func (d *NVMeBlockDev) onTimeout(cid uint16, pend *pendingBio) {
+// timerLoop is the device's one deadline timer: it waits until the tag
+// table's next due time, recycles expired quarantines and times out
+// overdue commands, and parks while nothing is armed. push wakes it early
+// when it arms a deadline before that time. At most one live timer event
+// is ever queued, however many commands are in flight.
+func (d *NVMeBlockDev) timerLoop(p *sim.Proc) {
+	for {
+		at, ok := d.tags.NextDue()
+		switch {
+		case !ok:
+			d.timerAt = 0
+			d.timer.Wait()
+		case at > p.Now():
+			d.timerAt = at
+			d.timer.WaitTimeout(at.Sub(p.Now()))
+		default:
+			for n := d.tags.Reclaim(); n > 0; n-- {
+				d.Reclaimed++
+				d.waitCID.Signal(nil)
+			}
+			for pend, ok := d.tags.Expire(); ok; pend, ok = d.tags.Expire() {
+				d.onTimeout(pend)
+			}
+		}
+	}
+}
+
+// onTimeout fails a command that missed its deadline once its retries
+// are spent; otherwise a retry process resubmits it after exponential
+// backoff under a new CID (the tag table quarantined the old one).
+func (d *NVMeBlockDev) onTimeout(pend *pendingBio) {
 	d.Timeouts++
-	delete(d.inflight, cid)
-	d.quarantine(cid, pend.gen)
-	if pend.attempts > d.rec.MaxRetries {
+	if pend.attempts > MaxRetries {
 		d.Aborts++
 		d.finishBio(pend, nvme.SCAbortRequested)
 		return
 	}
-	backoff := d.rec.Backoff << (pend.attempts - 1)
-	d.env.After(backoff, func() {
-		d.retryQ = append(d.retryQ, pend)
-		d.retryCond.Signal(nil)
-	})
-}
-
-// quarantine parks a lost CID until its completion shows up or the reclaim
-// window expires (the stand-in for a queue reset reclaiming tags). The
-// generation of the lost attempt is remembered so a completion arriving
-// after reclaim — when the tag may already have a new occupant — can be
-// recognized as stale by its generation echo instead of being delivered.
-func (d *NVMeBlockDev) quarantine(cid uint16, gen uint32) {
-	entry := lostCID{gen: gen, since: d.env.Now()}
-	d.lost[cid] = entry
-	d.env.After(d.rec.Reclaim, func() {
-		if e, ok := d.lost[cid]; ok && e == entry {
-			delete(d.lost, cid)
-			d.Reclaimed++
-			d.freeCIDs = append(d.freeCIDs, cid)
-			d.waitCID.Signal(nil)
-		}
-	})
-}
-
-// retryLoop resubmits timed-out commands once their backoff elapses.
-func (d *NVMeBlockDev) retryLoop(p *sim.Proc) {
-	for {
-		if len(d.retryQ) == 0 {
-			d.retryCond.Wait()
-			continue
-		}
-		pend := d.retryQ[0]
-		d.retryQ = d.retryQ[1:]
+	d.env.Go(fmt.Sprintf("kernel/nvme-retry-ns%d", d.nsid), func(p *sim.Proc) {
+		p.Sleep(RetryBackoff << (pend.attempts - 1))
 		d.irq.Exec(p, d.costs.Submit)
-		for len(d.freeCIDs) == 0 || d.qp.SQ.Full() {
-			d.waitCID.Wait()
-		}
-		cid := d.freeCIDs[len(d.freeCIDs)-1]
-		d.freeCIDs = d.freeCIDs[:len(d.freeCIDs)-1]
 		d.Retries++
-		d.push(cid, pend)
-	}
+		d.push(pend)
+	})
 }
 
 func (d *NVMeBlockDev) irqLoop(p *sim.Proc) {
@@ -374,29 +265,20 @@ func (d *NVMeBlockDev) irqLoop(p *sim.Proc) {
 		d.irqCond.Wait()
 		for d.qp.CQ.Pop(&e) {
 			d.irq.Exec(p, d.costs.Complete)
-			cid := e.CID()
-			gen := e.Result() // the device echoes the submission generation
-			pend := d.inflight[cid]
-			if pend == nil || pend.gen != gen {
-				// A completion that doesn't belong to the tag's current
-				// occupant: the late arrival of a timed-out attempt.
-				if le, ok := d.lost[cid]; ok && le.gen == gen {
-					// Still quarantined: release the tag.
-					delete(d.lost, cid)
-					d.Stale++
-					d.freeCIDs = append(d.freeCIDs, cid)
-					d.waitCID.Signal(nil)
-				} else {
-					// The tag was already reclaimed (and possibly reused
-					// by pend): count it stale, never deliver it.
-					d.StaleReclaimed++
-				}
-				continue
+			// The device echoes the submission generation in DW0; a
+			// timed-out attempt's late completion is counted, never
+			// delivered.
+			pend, m := d.tags.Complete(e.CID(), e.Result())
+			switch m {
+			case nvme.TagLive:
+				d.waitCID.Signal(nil)
+				d.finishBio(pend, e.Status())
+			case nvme.TagStale:
+				d.Stale++
+				d.waitCID.Signal(nil)
+			default:
+				d.StaleReclaimed++
 			}
-			delete(d.inflight, cid)
-			d.freeCIDs = append(d.freeCIDs, cid)
-			d.waitCID.Signal(nil)
-			d.finishBio(pend, e.Status())
 		}
 	}
 }
@@ -407,11 +289,7 @@ func (d *NVMeBlockDev) finishBio(pend *pendingBio, st nvme.Status) {
 	if pend.bio.Op == BioRead && st.OK() {
 		for i, pg := range pend.pages {
 			off := i * guestmem.PageSize
-			end := off + guestmem.PageSize
-			if end > len(pend.bio.Data) {
-				end = len(pend.bio.Data)
-			}
-			d.hostmem.ReadAt(pend.bio.Data[off:end], pg)
+			d.hostmem.ReadAt(pend.bio.Data[off:min(off+guestmem.PageSize, len(pend.bio.Data))], pg)
 		}
 		if d.verifier != nil && !d.verifier.VerifySectors(pend.bio.Sector, pend.bio.Data) {
 			// The device returned data that contradicts its protection

@@ -70,6 +70,8 @@ type hop struct {
 }
 
 // vqState is one virtual queue pair and its shadowing host queue pair.
+// tags maps host CIDs back to the hops that own them and carries the
+// fast-path deadlines and the quarantine of timed-out host tags.
 type vqState struct {
 	vc         *Controller
 	qid        uint16
@@ -77,68 +79,8 @@ type vqState struct {
 	vcq        *nvme.CQ
 	hqp        *nvme.QueuePair
 	irq        func()
-	htags      []hop
-	htagSeq    []uint64 // dispatch epoch per tag, guards stale deadline entries
-	freeHTags  []uint16
+	tags       *nvme.TagTable[hop]
 	pendingVCQ []nvme.Completion
-
-	dispatchSeq uint64
-	deadlines   []hqDeadline // FIFO: uniform deadlines, submission order
-	lostHTags   []lostTag    // FIFO: quarantined tags awaiting completion
-}
-
-// hqDeadline is one armed fast-path deadline.
-type hqDeadline struct {
-	cid uint16
-	seq uint64
-	at  sim.Time
-}
-
-// lostTag is one quarantined host tag.
-type lostTag struct {
-	cid   uint16
-	since sim.Time
-}
-
-// releaseLost frees cid if it is quarantined (its late completion arrived).
-func (vq *vqState) releaseLost(cid uint16) {
-	for i, lt := range vq.lostHTags {
-		if lt.cid == cid {
-			vq.lostHTags = append(vq.lostHTags[:i], vq.lostHTags[i+1:]...)
-			vq.freeHTags = append(vq.freeHTags, cid)
-			return
-		}
-	}
-}
-
-// expireDeadlines pops overdue fast-path hops — quarantining their tags —
-// and recycles quarantined tags past the reclaim window. It returns the
-// aborted hops for the worker to fail with SCAbortRequested.
-func (vq *vqState) expireDeadlines(r *Router) []hop {
-	if r.FastPathDeadline <= 0 {
-		return nil
-	}
-	now := r.env.Now()
-	var aborted []hop
-	for len(vq.deadlines) > 0 && vq.deadlines[0].at <= now {
-		ent := vq.deadlines[0]
-		vq.deadlines = vq.deadlines[1:]
-		if vq.htagSeq[ent.cid] != ent.seq || vq.htags[ent.cid].req == nil {
-			continue // hop already completed (tag free or reassigned)
-		}
-		h := vq.htags[ent.cid]
-		vq.htags[ent.cid] = hop{}
-		vq.lostHTags = append(vq.lostHTags, lostTag{cid: ent.cid, since: now})
-		r.HQTimeouts++
-		aborted = append(aborted, h)
-	}
-	for len(vq.lostHTags) > 0 && now.Sub(vq.lostHTags[0].since) >= r.HTagReclaim {
-		lt := vq.lostHTags[0]
-		vq.lostHTags = vq.lostHTags[1:]
-		vq.freeHTags = append(vq.freeHTags, lt.cid)
-		r.HTagsReclaimed++
-	}
-	return aborted
 }
 
 // Controller is the virtual NVMe controller NVMetro exposes to one VM,
@@ -379,16 +321,12 @@ func (vc *Controller) IdentifyController() nvme.ControllerInfo {
 func (vc *Controller) CreateQP(depth uint32) *nvme.QueuePair {
 	vc.nextQID++
 	vq := &vqState{
-		vc:      vc,
-		qid:     vc.nextQID,
-		vsq:     nvme.NewSQ(vc.nextQID, depth),
-		vcq:     nvme.NewCQ(vc.nextQID, depth),
-		hqp:     vc.part.Dev.CreateQueuePair(depth, vc.vm.Mem),
-		htags:   make([]hop, depth),
-		htagSeq: make([]uint64, depth),
-	}
-	for i := uint32(0); i < depth; i++ {
-		vq.freeHTags = append(vq.freeHTags, uint16(i))
+		vc:   vc,
+		qid:  vc.nextQID,
+		vsq:  nvme.NewSQ(vc.nextQID, depth),
+		vcq:  nvme.NewCQ(vc.nextQID, depth),
+		hqp:  vc.part.Dev.CreateQueuePair(depth, vc.vm.Mem),
+		tags: nvme.NewTagTable[hop](vc.router.env, int(depth), vc.router.fastPathDeadline),
 	}
 	vc.vqs = append(vc.vqs, vq)
 	return &nvme.QueuePair{SQ: vq.vsq, CQ: vq.vcq}
@@ -759,35 +697,24 @@ func (w *worker) dispatchHQ(h hop) {
 			return
 		}
 	}
-	if len(vq.freeHTags) == 0 || vq.hqp.SQ.Full() {
-		w.r.Backpressure++
-		vc.retry = append(vc.retry, func() { w.dispatchHQ(h) })
-		return
-	}
-	htag := vq.freeHTags[len(vq.freeHTags)-1]
-	vq.freeHTags = vq.freeHTags[:len(vq.freeHTags)-1]
-	vq.htags[htag] = h
-	cmd := req.cmd
-	cmd.SetCID(htag)
 	// The guest driver always addresses NSID 1 of its virtual controller;
 	// the attachment's partition says which device namespace that maps to
 	// (clone namespaces sit at NSID >= 2).
+	cmd := req.cmd
 	cmd.SetNSID(vc.part.NSID)
-	if !vq.hqp.SQ.Push(&cmd) {
-		// Backpressure, not a panic: undo the tag grab and retry on the
-		// next worker iteration, exactly like the full-before-check case.
-		vq.htags[htag] = hop{}
-		vq.freeHTags = append(vq.freeHTags, htag)
-		w.r.Backpressure++
-		vc.retry = append(vc.retry, func() { w.dispatchHQ(h) })
-		return
+	if htag, gen, ok := vq.tags.Acquire(h); ok {
+		cmd.SetCID(htag)
+		cmd.SetCDW(nvme.GenDW, gen)
+		if vq.hqp.SQ.Push(&cmd) {
+			vc.part.Dev.Ring(vq.hqp.SQ.ID)
+			return
+		}
+		vq.tags.Release(htag) // HSQ full: undo the tag grab
 	}
-	vq.dispatchSeq++
-	vq.htagSeq[htag] = vq.dispatchSeq
-	if dl := w.r.FastPathDeadline; dl > 0 {
-		vq.deadlines = append(vq.deadlines, hqDeadline{cid: htag, seq: vq.dispatchSeq, at: w.r.env.Now().Add(dl)})
-	}
-	vc.part.Dev.Ring(vq.hqp.SQ.ID)
+	// No free host tag or a full HSQ: backpressure, not a panic; retry on
+	// the next worker iteration.
+	w.r.Backpressure++
+	vc.retry = append(vc.retry, func() { w.dispatchHQ(h) })
 }
 
 // dispatchNQ exports the request to the attached UIF via the notify queues.
@@ -897,8 +824,8 @@ func (vc *Controller) DebugState() string {
 		s += fmt.Sprintf(" nsq=%d ncq=%d", vc.nq.nsq.Len(), vc.nq.ncq.Len())
 	}
 	for _, vq := range vc.vqs {
-		s += fmt.Sprintf(" [q%d vsq=%d hsq=%d hcq=%d pendVCQ=%d freeHTags=%d]",
-			vq.qid, vq.vsq.Len(), vq.hqp.SQ.Len(), vq.hqp.CQ.Len(), len(vq.pendingVCQ), len(vq.freeHTags))
+		s += fmt.Sprintf(" [q%d vsq=%d hsq=%d hcq=%d pendVCQ=%d hostTagsFree=%d]",
+			vq.qid, vq.vsq.Len(), vq.hqp.SQ.Len(), vq.hqp.CQ.Len(), len(vq.pendingVCQ), vq.tags.Free())
 	}
 	return s
 }

@@ -66,13 +66,7 @@ type Router struct {
 	// setups measure classifier execution, promotion would elide it.
 	promote bool
 
-	// FastPathDeadline bounds how long a fast-path hop may stay in flight
-	// before the router aborts it back to the guest (0 disables). The
-	// default sits far above any legitimate device queueing delay; fault
-	// experiments tighten it. HTagReclaim is the quarantine window before
-	// a timed-out host tag may be reused.
-	FastPathDeadline sim.Duration
-	HTagReclaim      sim.Duration
+	fastPathDeadline sim.Duration // see SetFastPathDeadline
 
 	// Stats
 	Classifications uint64
@@ -113,8 +107,7 @@ func NewRouter(env *sim.Env, costs RouterCosts, threads []*sim.Thread) *Router {
 	r := &Router{
 		env:              env,
 		costs:            costs,
-		FastPathDeadline: 100 * sim.Millisecond,
-		HTagReclaim:      200 * sim.Millisecond,
+		fastPathDeadline: 100 * sim.Millisecond,
 	}
 	for i, th := range threads {
 		w := &worker{r: r, id: i, thread: th, wake: sim.NewCond(env)}
@@ -122,6 +115,17 @@ func NewRouter(env *sim.Env, costs RouterCosts, threads []*sim.Thread) *Router {
 		env.Go(fmt.Sprintf("router-w%d", i), w.run)
 	}
 	return r
+}
+
+// SetFastPathDeadline bounds how long a fast-path hop may stay in flight
+// before the router aborts it back to the guest (0 disables; default
+// 100 ms, far above any legitimate device queueing delay). Queue pairs
+// copy it when created, so it can only be set before the first Attach.
+func (r *Router) SetFastPathDeadline(d sim.Duration) {
+	if r.attached > 0 {
+		panic("core: SetFastPathDeadline after Attach")
+	}
+	r.fastPathDeadline = d
 }
 
 // EnablePromotion turns on the adaptive path-promotion tier and
@@ -283,31 +287,30 @@ func (w *worker) run(p *sim.Proc) {
 						}
 					}
 				}
-				// Fast-path completions.
+				// Fast-path completions. The host tag's generation, echoed
+				// in DW0, must match too: a late completion for a tag the
+				// deadline sweep aborted — quarantined or already reissued —
+				// is counted (silent drops would hide injected faults),
+				// never delivered.
 				var e nvme.Completion
 				for vq.hqp.CQ.Pop(&e) {
-					cid := e.CID()
-					h := vq.htags[cid]
-					if h.req == nil {
-						// No live host tag: the late completion of a hop
-						// the deadline sweep already aborted. Count it
-						// (silent drops would hide injected faults) and
-						// release the quarantined tag.
+					h, m := vq.tags.Complete(e.CID(), e.Result())
+					if m != nvme.TagLive {
 						w.r.StaleComps++
-						vq.releaseLost(cid)
 						continue
 					}
-					vq.htags[cid] = hop{}
-					vq.freeHTags = append(vq.freeHTags, cid)
 					st := e.Status()
 					effects = append(effects, func() { w.finishHop(h, targetHQ, st) })
 				}
-				// Deadline sweep: abort fast-path hops that outlived their
-				// deadline and recycle quarantined tags whose completion
-				// never arrived.
-				for _, h := range vq.expireDeadlines(w.r) {
-					h := h
-					effects = append(effects, func() { w.finishHop(h, targetHQ, nvme.SCAbortRequested) })
+				// Deadline sweep: recycle quarantined tags whose completion
+				// never arrived and abort fast-path hops that outlived their
+				// deadline.
+				if vq.tags.Due() {
+					w.r.HTagsReclaimed += uint64(vq.tags.Reclaim())
+					for h, ok := vq.tags.Expire(); ok; h, ok = vq.tags.Expire() {
+						w.r.HQTimeouts++
+						effects = append(effects, func() { w.finishHop(h, targetHQ, nvme.SCAbortRequested) })
+					}
 				}
 			}
 		}

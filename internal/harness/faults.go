@@ -237,14 +237,9 @@ func faultSweep(o Options) *Table {
 	return t
 }
 
-// tightRouter gives the fast path an aggressive recovery policy so drop
-// and stuck faults resolve within the measurement window. The reclaim
-// window stays above the largest injected stuck delay: a tag recycled
-// before its late completion arrives could be misattributed.
-func tightRouter(r *core.Router) {
-	r.FastPathDeadline = 2 * sim.Millisecond
-	r.HTagReclaim = 8 * sim.Millisecond
-}
+// tightRouter gives the fast path an aggressive deadline so drop and
+// stuck faults resolve within the measurement window.
+func tightRouter(r *core.Router) { r.SetFastPathDeadline(2 * sim.Millisecond) }
 
 // faultRecovery exercises the fast-path drop/stuck recovery machinery.
 func faultRecovery(o Options) *Table {

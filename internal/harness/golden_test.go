@@ -31,9 +31,11 @@ func TestGoldenCSVs(t *testing.T) {
 		}
 	}
 	covered := map[string]bool{}
+	ran := 0
 	for _, id := range ids {
 		id := id
 		t.Run(id, func(t *testing.T) {
+			ran++
 			e, ok := Get(id)
 			if !ok {
 				t.Fatalf("experiment %s not registered", id)
@@ -52,11 +54,12 @@ func TestGoldenCSVs(t *testing.T) {
 			}
 		})
 	}
-	if testing.Short() || raceEnabled {
+	if testing.Short() || raceEnabled || ran < len(ids) {
 		return
 	}
 	// Every golden must have been exercised; a stale file would silently
-	// stop guarding anything.
+	// stop guarding anything. Only a run of the whole list can tell: a
+	// -run filter selecting some ids leaves the others' goldens unmatched.
 	entries, err := os.ReadDir(goldenDir)
 	if err != nil {
 		t.Fatal(err)

@@ -37,13 +37,12 @@ func (s *MDev) Provision(v *vm.VM, part device.Partition) vm.Disk {
 }
 
 type mdevVQ struct {
-	qid       uint16
-	vsq       *nvme.SQ
-	vcq       *nvme.CQ
-	hqp       *nvme.QueuePair
-	irq       func()
-	freeTags  []uint16
-	guestCIDs []uint16
+	qid  uint16
+	vsq  *nvme.SQ
+	vcq  *nvme.CQ
+	hqp  *nvme.QueuePair
+	irq  func()
+	tags *nvme.TagTable[uint16] // host tag -> guest CID
 }
 
 type mdevPort struct {
@@ -64,14 +63,11 @@ func (p *mdevPort) Namespace() nvme.NamespaceInfo { return p.part.Info() }
 func (p *mdevPort) CreateQP(depth uint32) *nvme.QueuePair {
 	p.nextQID++
 	vq := &mdevVQ{
-		qid:       p.nextQID,
-		vsq:       nvme.NewSQ(p.nextQID, depth),
-		vcq:       nvme.NewCQ(p.nextQID, depth),
-		hqp:       p.part.Dev.CreateQueuePair(depth, p.v.Mem),
-		guestCIDs: make([]uint16, depth),
-	}
-	for i := uint16(0); i < uint16(depth); i++ {
-		vq.freeTags = append(vq.freeTags, i)
+		qid:  p.nextQID,
+		vsq:  nvme.NewSQ(p.nextQID, depth),
+		vcq:  nvme.NewCQ(p.nextQID, depth),
+		hqp:  p.part.Dev.CreateQueuePair(depth, p.v.Mem),
+		tags: nvme.NewTagTable[uint16](nil, int(depth), 0),
 	}
 	p.vqs = append(p.vqs, vq)
 	return &nvme.QueuePair{SQ: vq.vsq, CQ: vq.vcq}
@@ -107,7 +103,7 @@ func (p *mdevPort) poll(pr *sim.Proc) {
 			vq := vq
 			work += c.Router.PollVQ
 			var cmd nvme.Command
-			for !vq.vsq.Empty() && len(vq.freeTags) > 0 && !vq.hqp.SQ.Full() {
+			for !vq.vsq.Empty() && vq.tags.Free() > 0 && !vq.hqp.SQ.Full() {
 				vq.vsq.Pop(&cmd)
 				p.outstanding++
 				work += c.MDevMediate
@@ -129,9 +125,7 @@ func (p *mdevPort) poll(pr *sim.Proc) {
 					})
 					continue
 				}
-				htag := vq.freeTags[len(vq.freeTags)-1]
-				vq.freeTags = vq.freeTags[:len(vq.freeTags)-1]
-				vq.guestCIDs[htag] = gcid
+				htag, _, _ := vq.tags.Acquire(gcid)
 				cmd.SetCID(htag)
 				hc := cmd
 				effects = append(effects, func() {
@@ -142,9 +136,10 @@ func (p *mdevPort) poll(pr *sim.Proc) {
 			var e nvme.Completion
 			newDone := 0
 			for vq.hqp.CQ.Pop(&e) {
-				htag := e.CID()
-				gcid := vq.guestCIDs[htag]
-				vq.freeTags = append(vq.freeTags, htag)
+				gcid, ok := vq.tags.Release(e.CID())
+				if !ok {
+					continue // no command owns this tag
+				}
 				st := e.Status()
 				work += c.Router.CompleteVCQ
 				effects = append(effects, func() {

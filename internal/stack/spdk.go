@@ -37,15 +37,13 @@ type spdkSession struct {
 	// Per-queue exclusive userspace NVMe queue pair + tag tracking.
 	qps       []*nvme.QueuePair
 	mem       *mappedMem
-	inflight  []map[uint16]spdkTag
-	freeCID   [][]uint16
+	tags      []*nvme.TagTable[spdkTag]
 	listPages [][]uint64 // one preallocated PRP list page per (queue, CID)
 }
 
 type spdkTag struct {
-	req  virtio.DeviceReq
-	vq   *virtio.Queue
-	read bool
+	req virtio.DeviceReq
+	vq  *virtio.Queue
 }
 
 // Kick is never taken: reactors poll, so the driver's kicks are suppressed.
@@ -71,14 +69,11 @@ func (s *SPDK) Provision(v *vm.VM, part device.Partition) vm.Disk {
 		q.Ring.SuppressKick = true
 		qp := part.Dev.CreateQueuePair(256, sess.mem)
 		sess.qps = append(sess.qps, qp)
-		sess.inflight = append(sess.inflight, make(map[uint16]spdkTag))
-		free := make([]uint16, 0, 255)
+		sess.tags = append(sess.tags, nvme.NewTagTable[spdkTag](nil, 255, 0))
 		lists := make([]uint64, 255)
-		for i := uint16(0); i < 255; i++ {
-			free = append(free, i)
+		for i := range lists {
 			lists[i] = sess.mem.allocListPage()
 		}
-		sess.freeCID = append(sess.freeCID, free)
 		sess.listPages = append(sess.listPages, lists)
 	}
 	if !s.started {
@@ -108,12 +103,10 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 				// Completions from the polled userspace NVMe driver.
 				var e nvme.Completion
 				for sess.qps[qi].CQ.Pop(&e) {
-					tag, ok := sess.inflight[qi][e.CID()]
+					tag, ok := sess.tags[qi].Release(e.CID())
 					if !ok {
 						continue
 					}
-					delete(sess.inflight[qi], e.CID())
-					sess.freeCID[qi] = append(sess.freeCID[qi], e.CID())
 					th.Exec(p, par.SPDKParse)
 					status := byte(0)
 					if !e.Status().OK() {
@@ -127,7 +120,7 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 					did = true
 				}
 				// New guest submissions.
-				for len(sess.freeCID[qi]) > 0 {
+				for sess.tags[qi].Free() > 0 {
 					head, ok := vq.Ring.PopAvail()
 					if !ok {
 						break
@@ -155,8 +148,7 @@ func (s *SPDK) reactor(p *sim.Proc, th *sim.Thread, idx int) {
 // the guest's data pages through the vhost-user mapping.
 func (s *SPDK) submit(sess *spdkSession, qi int, vq *virtio.Queue, r virtio.DeviceReq) {
 	t, sector := r.BlkHeader(vq)
-	cid := sess.freeCID[qi][len(sess.freeCID[qi])-1]
-	sess.freeCID[qi] = sess.freeCID[qi][:len(sess.freeCID[qi])-1]
+	cid, _, _ := sess.tags[qi].Acquire(spdkTag{req: r, vq: vq})
 
 	shift := sess.part.Dev.Params().LBAShift
 	var cmd nvme.Command
@@ -188,7 +180,6 @@ func (s *SPDK) submit(sess *spdkSession, qi int, vq *virtio.Queue, r virtio.Devi
 		blocks := uint32(r.DataLen()) >> shift
 		cmd = nvme.NewRW(op, cid, sess.part.NSID, lba, blocks, prp1, prp2)
 	}
-	sess.inflight[qi][cid] = spdkTag{req: r, vq: vq, read: t == virtio.BlkTIn}
 	if !sess.qps[qi].SQ.Push(&cmd) {
 		panic("stack: spdk SQ full with free CIDs available")
 	}

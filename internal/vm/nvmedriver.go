@@ -42,11 +42,10 @@ func DefaultDriverCosts() DriverCosts {
 type qpState struct {
 	qp        *nvme.QueuePair
 	vcpu      *sim.Thread
-	reqs      []*Req     // by CID
-	listPages [][]uint64 // preallocated PRP list pages by CID
-	free      []uint16   // free CIDs
-	slotCond  *sim.Cond  // waiters for a free slot
-	irqCond   *sim.Cond  // completion notification
+	reqs      *nvme.TagTable[*Req] // CID -> outstanding request
+	listPages [][]uint64           // preallocated PRP list pages by CID
+	slotCond  *sim.Cond            // waiters for a free slot
+	irqCond   *sim.Cond            // completion notification
 }
 
 // NVMeDisk is the guest NVMe driver: it implements Disk on top of a Port,
@@ -69,13 +68,12 @@ func NewNVMeDisk(v *VM, port Port, depth uint32, costs DriverCosts) *NVMeDisk {
 		st := &qpState{
 			qp:       port.CreateQP(depth),
 			vcpu:     vcpu,
-			reqs:     make([]*Req, depth),
+			reqs:     nvme.NewTagTable[*Req](nil, int(depth), 0),
 			slotCond: sim.NewCond(v.Env),
 			irqCond:  sim.NewCond(v.Env),
 		}
 		st.listPages = make([][]uint64, depth)
-		for cid := uint16(0); cid < uint16(depth); cid++ {
-			st.free = append(st.free, cid)
+		for cid := range st.listPages {
 			// One PRP list page per slot supports transfers to 2 MiB.
 			st.listPages[cid] = []uint64{v.Mem.MustAllocPages(1)}
 		}
@@ -111,12 +109,10 @@ func (d *NVMeDisk) Submit(p *sim.Proc, vcpu *sim.Thread, r *Req) {
 	r.Submitted = p.Now()
 	vcpu.Exec(p, d.costs.Submit)
 
-	for len(st.free) == 0 || st.qp.SQ.Full() {
+	for st.reqs.Free() == 0 || st.qp.SQ.Full() {
 		st.slotCond.Wait()
 	}
-	cid := st.free[len(st.free)-1]
-	st.free = st.free[:len(st.free)-1]
-	st.reqs[cid] = r
+	cid, _, _ := st.reqs.Acquire(r)
 
 	var cmd nvme.Command
 	switch r.Op {
@@ -165,13 +161,10 @@ func (d *NVMeDisk) completionLoop(p *sim.Proc, st *qpState) {
 		st.vcpu.Exec(p, d.vm.Costs.GuestIRQ)
 		for st.qp.CQ.Pop(&e) {
 			st.vcpu.Exec(p, d.costs.Complete)
-			cid := e.CID()
-			r := st.reqs[cid]
-			if r == nil {
-				panic(fmt.Sprintf("vm: completion for idle cid %d", cid))
+			r, ok := st.reqs.Release(e.CID())
+			if !ok {
+				panic(fmt.Sprintf("vm: completion for idle cid %d", e.CID()))
 			}
-			st.reqs[cid] = nil
-			st.free = append(st.free, cid)
 			st.slotCond.Signal(nil)
 			r.Complete(d.vm.Env, e.Status())
 		}
